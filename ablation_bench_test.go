@@ -70,11 +70,11 @@ func BenchmarkAblationMetadataCaches(b *testing.B) {
 				opts := memprot.DefaultOptions()
 				opts.VNCacheBytes = kb * 1024
 				opts.MACCacheBytes = kb * 512 // keep the paper's 2:1 ratio
-				res, err := memprot.Protect(memprot.SchemeSGX64, sim, opts)
+				res, err := memprot.ProtectAllArena([]memprot.Scheme{memprot.SchemeSGX64}, sim, opts, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.TrafficOverheadRatio()*100, "sgx64-traffic-%")
+				b.ReportMetric(res[0].TrafficOverheadRatio()*100, "sgx64-traffic-%")
 			}
 		})
 	}
@@ -96,22 +96,22 @@ func BenchmarkAblationBlockGranularity(b *testing.B) {
 		blk := blk
 		b.Run(fmt.Sprintf("mgx%dB", blk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := memprot.Protect(memprot.Scheme{Kind: memprot.MGX, Block: blk}, sim,
-					memprot.DefaultOptions())
+				res, err := memprot.ProtectAllArena([]memprot.Scheme{{Kind: memprot.MGX, Block: blk}}, sim,
+					memprot.DefaultOptions(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.TrafficOverheadRatio()*100, "traffic-%")
+				b.ReportMetric(res[0].TrafficOverheadRatio()*100, "traffic-%")
 			}
 		})
 	}
 	b.Run("seda-optblk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := memprot.Protect(memprot.SchemeSeDA, sim, memprot.DefaultOptions())
+			res, err := memprot.ProtectAllArena([]memprot.Scheme{memprot.SchemeSeDA}, sim, memprot.DefaultOptions(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(res.TrafficOverheadRatio()*100, "traffic-%")
+			b.ReportMetric(res[0].TrafficOverheadRatio()*100, "traffic-%")
 		}
 	})
 	_ = authblock.MinBlock
@@ -140,6 +140,6 @@ func BenchmarkDRAMSimulator(b *testing.B) {
 	b.SetBytes(int64(bytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsim.RunTrace(tr)
+		dsim.RunOverlay(tr, nil)
 	}
 }

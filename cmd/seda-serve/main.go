@@ -52,8 +52,7 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once bound (for -addr with port 0)")
 	cacheDir := flag.String("cache-dir", "auto", "disk cache directory; \"auto\" = <user cache dir>/seda-repro, \"off\" = memory only")
 	memEntries := flag.Int("mem-entries", 0, "in-memory cache entries (0 = default)")
-	workers := flag.Int("workers", 0, "workload-level worker pool size per sweep (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "force the fully sequential pipeline (one goroutine end to end)")
+	workers := flag.Int("workers", 0, "bound on concurrent workloads per sweep, and on concurrent schemes per workload; capped by -max-inflight, which 0 also means (GOMAXPROCS when -max-inflight is 0); 1 = one goroutine per sweep")
 	maxInflight := flag.Int("max-inflight", 4, "concurrent pipeline evaluations before shedding with 503 (0 = unlimited; cache hits and coalesced identical requests never count)")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "full-request read timeout")
 	writeTimeout := flag.Duration("write-timeout", 3*time.Minute, "response write timeout (must cover a cold full-suite evaluation)")
@@ -68,6 +67,11 @@ func main() {
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
 
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "seda-serve: -workers must be >= 0")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *version {
 		b := obs.ReadBuild()
 		dirty := ""
@@ -88,12 +92,6 @@ func main() {
 		fatal(err)
 	}
 
-	opts := seda.DefaultSuiteOptions()
-	opts.Workers = *workers
-	if *seq {
-		opts = seda.SequentialOptions()
-	}
-
 	dir := rescache.ResolveDir(*cacheDir)
 	cache, err := rescache.New(rescache.Options{
 		MaxEntries:          *memEntries,
@@ -105,7 +103,7 @@ func main() {
 		fatal(err)
 	}
 
-	api := serve.NewAPI(cache, opts, *requestTimeout)
+	api := serve.NewAPI(cache, seda.SuiteOptions{Workers: *workers}, *requestTimeout)
 	api.MaxExplore = *maxExplorePoints
 	api.Log = logger
 	if *jitterSeed != 0 {

@@ -25,13 +25,18 @@ func main() {
 	workload := flag.String("workload", "rest", "workload short name ("+strings.Join(model.Names(), ", ")+")")
 	npuName := flag.String("npu", "server", "npu config: server or edge")
 	table1 := flag.Bool("table1", false, "print Table I (multi-level granularity comparison) and exit")
-	seq := flag.Bool("seq", false, "force the fully sequential pipeline (one goroutine end to end)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the evaluation to this file (pair with -seq for a single-goroutine profile)")
+	workers := flag.Int("workers", 0, "bound on concurrent schemes (0 = GOMAXPROCS, 1 = one goroutine end to end)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the evaluation to this file (pair with -workers 1 for a single-goroutine profile)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file (go tool trace)")
 	timing := flag.Bool("timing", false, "print the pipeline span tree (per-stage wall times) to stderr as JSON when done")
 	flag.Parse()
 
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "seda-sim: -workers must be >= 0")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *table1 {
 		printTable1()
 		return
@@ -62,10 +67,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := seda.DefaultSuiteOptions()
-	if *seq {
-		opts = seda.SequentialOptions()
-	}
 	// Ctrl-C cancels the evaluation cooperatively instead of letting it
 	// run to completion; a second signal kills outright.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -78,7 +79,7 @@ func main() {
 			tr.WriteJSON(os.Stderr, true) //nolint:errcheck
 		}()
 	}
-	rows, err := seda.RunNetworkOptsCtx(ctx, npu, net, opts)
+	suite, err := seda.RunSuiteOptsCtx(ctx, npu, []*model.Network{net}, seda.SuiteOptions{Workers: *workers})
 	if err != nil {
 		profiles.Stop() //nolint:errcheck // os.Exit skips the defer
 		if errors.Is(err, context.Canceled) {
@@ -89,6 +90,7 @@ func main() {
 		os.Exit(1)
 	}
 
+	rows := suite.Rows[net.Name]
 	fmt.Printf("%s (%s) on %s NPU — %d layers, %.1f GMACs\n\n",
 		net.Full, net.Name, npu.Name, len(net.Layers), float64(net.TotalMACs())/1e9)
 

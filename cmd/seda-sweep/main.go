@@ -31,12 +31,11 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 1d, 5a, 5b, 6a, 6b, all")
 	table3 := flag.Bool("table3", false, "print Table III (scheme feature comparison) and exit")
-	workers := flag.Int("workers", 0, "workload-level worker pool size (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "force the fully sequential pipeline (one goroutine end to end)")
+	workers := flag.Int("workers", 0, "bound on concurrent workloads, and on concurrent schemes per workload (0 = GOMAXPROCS, 1 = one goroutine end to end)")
 	jsonOut := flag.Bool("json", false, "emit the full suite (both metrics) of the NPUs the figure touches as JSON instead of tables (seda-serve's full-suite wire format)")
 	useCache := flag.Bool("cache", false, "memoize sweep results through the content-addressed cache (warm-start reruns)")
 	cacheDir := flag.String("cache-dir", "auto", "disk cache directory with -cache; \"auto\" = <user cache dir>/seda-repro (shared with seda-serve), \"off\" = memory only")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (the hot-path work of PRs 1–5 was steered by exactly this view; pair with -seq for a single-goroutine profile)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (the hot-path work of PRs 1–5 was steered by exactly this view; pair with -workers 1 for a single-goroutine profile)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file (go tool trace)")
 	timing := flag.Bool("timing", false, "print the pipeline span tree (per-stage wall times) to stderr as JSON when done")
@@ -46,6 +45,11 @@ func main() {
 	exploreScheme := flag.String("scheme", "SeDA", "with -explore: protection scheme explored under")
 	flag.Parse()
 
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "seda-sweep: -workers must be >= 0")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *table3 {
 		printTable3()
 		return
@@ -58,11 +62,7 @@ func main() {
 	}
 	defer profiles.Stop() //nolint:errcheck
 
-	opts := seda.DefaultSuiteOptions()
-	opts.Workers = *workers
-	if *seq {
-		opts = seda.SequentialOptions()
-	}
+	opts := seda.SuiteOptions{Workers: *workers}
 
 	// With -cache, results are served through the same content-addressed
 	// cache seda-serve uses; the default disk layer makes reruns of an

@@ -58,7 +58,7 @@ func main() {
 	if *raw {
 		opts.CoalesceOverlays = false
 	}
-	prots, err := memprot.ProtectAll([]memprot.Scheme{scheme}, sim, opts)
+	prots, err := memprot.ProtectAllArena([]memprot.Scheme{scheme}, sim, opts, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -30,7 +30,7 @@
 //	internal/loadgen   deterministic traffic scenarios + capacity search
 //
 // The pipeline is deterministic, so results are memoizable:
-// seda.RunSuiteCached/RunNetworkCached serve rows through
+// seda.RunSuiteCachedCtx serves each workload's rows through
 // internal/rescache keyed by seda.ConfigFingerprint, and the
 // cmd/seda-serve HTTP server ("sweep-as-a-service") exposes the cached
 // sweeps as JSON or CSV with singleflight deduplication of concurrent
@@ -45,7 +45,8 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and
-// the parallel pipeline's execution model (zero-copy traces, concurrent
-// DRAM channels, suite-level worker pool), and EXPERIMENTS.md for
-// paper-vs-measured numbers.
+// the pipeline's execution model (zero-copy traces, one pool bounded by
+// seda.SuiteOptions.Workers over the workloads and again over each
+// workload's schemes), and EXPERIMENTS.md for paper-vs-measured
+// numbers.
 package repro

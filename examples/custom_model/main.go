@@ -60,10 +60,11 @@ func main() {
 
 	// Compare deployment cost on both platforms.
 	for _, npu := range []seda.NPUConfig{seda.ServerNPU(), seda.EdgeNPU()} {
-		rows, err := seda.RunNetwork(npu, custom)
+		suite, err := seda.RunSuiteOpts(npu, []*model.Network{custom}, seda.DefaultSuiteOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
+		rows := suite.Rows[custom.Name]
 		sgx, _ := seda.SchemeRow(rows, memprot.SchemeSGX64)
 		sd, _ := seda.SchemeRow(rows, memprot.SchemeSeDA)
 		fmt.Printf("\n%s NPU: SGX-64B slowdown %.2f%%, SeDA slowdown %.2f%%\n",

@@ -20,10 +20,11 @@ func main() {
 	npu := seda.EdgeNPU()
 	net := model.ByName("rest")
 
-	rows, err := seda.RunNetwork(npu, net)
+	suite, err := seda.RunSuiteOpts(npu, []*model.Network{net}, seda.DefaultSuiteOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
+	rows := suite.Rows[net.Name]
 
 	fmt.Printf("%s on the %s NPU (%dx%d PEs, %d KB SRAM, %.0f GB/s)\n\n",
 		net.Full, npu.Name, npu.ArrayRows, npu.ArrayCols,

@@ -23,6 +23,17 @@ var (
 	itMacKey = []byte("integration-mac-key")
 )
 
+// runOne evaluates one workload through a one-workload suite and
+// returns its per-scheme rows.
+func runOne(t *testing.T, npu seda.NPUConfig, net *model.Network) []seda.RunResult {
+	t.Helper()
+	suite, err := seda.RunSuiteOpts(npu, []*model.Network{net}, seda.DefaultSuiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite.Rows[net.Name]
+}
+
 // TestIntegrationBitExactSecureInference: a protected inference is
 // bit-identical to an unprotected one across several networks, block
 // sizes and seeds.
@@ -85,13 +96,13 @@ func TestIntegrationTrafficOrderingFullSuiteServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prots, err := memprot.ProtectAllArena(memprot.AllSchemes(), sim, memprot.DefaultOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		oh := map[string]float64{}
-		for _, s := range memprot.AllSchemes() {
-			res, err := memprot.Protect(s, sim, memprot.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			oh[s.Name()] = res.TrafficOverheadRatio()
+		for _, res := range prots {
+			oh[res.Scheme.Name()] = res.TrafficOverheadRatio()
 		}
 		order := []string{"SGX-64B", "MGX-64B", "MGX-512B", "SeDA", "Baseline"}
 		for i := 0; i+1 < len(order); i++ {
@@ -115,10 +126,11 @@ func TestIntegrationTimingAndFunctionalAgreeOnOptBlk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := memprot.Protect(memprot.SchemeSeDA, sim, memprot.DefaultOptions())
+	prots, err := memprot.ProtectAllArena([]memprot.Scheme{memprot.SchemeSeDA}, sim, memprot.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prot := prots[0]
 	p, err := secinfer.New(model.LeNet(), itEncKey, itMacKey, 1, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +154,7 @@ func TestIntegrationSeDABeatsAllPriorSchemesEverywhere(t *testing.T) {
 	}
 	for _, npu := range []seda.NPUConfig{seda.ServerNPU(), seda.EdgeNPU()} {
 		for _, wl := range []string{"let", "dlrm", "trf"} {
-			rows, err := seda.RunNetwork(npu, model.ByName(wl))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows := runOne(t, npu, model.ByName(wl))
 			sd, err := seda.SchemeRow(rows, memprot.SchemeSeDA)
 			if err != nil {
 				t.Fatal(err)
@@ -179,10 +188,7 @@ func TestIntegrationTopologyImportRunsThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := seda.RunNetwork(seda.ServerNPU(), imported)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runOne(t, seda.ServerNPU(), imported)
 	if len(rows) != 6 {
 		t.Fatalf("imported network produced %d rows", len(rows))
 	}

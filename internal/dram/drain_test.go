@@ -2,7 +2,6 @@ package dram
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -36,43 +35,6 @@ func mixedTrace(n int) *trace.Trace {
 	return tr
 }
 
-// TestParallelDrainMatchesSequential is the zero-copy pipeline's
-// determinism anchor: draining channels on parallel goroutines must
-// produce bit-identical Stats to the single-goroutine drain.
-func TestParallelDrainMatchesSequential(t *testing.T) {
-	for _, channels := range []int{1, 2, 3, 4, 8} {
-		par := newSim(t, channels)
-		seq := newSim(t, channels)
-		seq.SetSequentialDrain(true)
-		tr := mixedTrace(3000)
-		stPar := par.RunTrace(tr)
-		stSeq := seq.RunTrace(tr)
-		if !reflect.DeepEqual(stPar, stSeq) {
-			t.Errorf("channels=%d: parallel %+v != sequential %+v", channels, stPar, stSeq)
-		}
-	}
-}
-
-// TestParallelDrainMatchesSequentialAcrossGOMAXPROCS repeats the
-// determinism anchor under forced parallelism settings (1, 2 and 8
-// Ps): with GOMAXPROCS>1 the channel goroutines genuinely preempt each
-// other, which a 1-core container never exercises.
-func TestParallelDrainMatchesSequentialAcrossGOMAXPROCS(t *testing.T) {
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	tr := mixedTrace(3000)
-	seq := newSim(t, 4)
-	seq.SetSequentialDrain(true)
-	want := seq.RunTrace(tr)
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		par := newSim(t, 4)
-		if got := par.RunTrace(tr); !reflect.DeepEqual(got, want) {
-			t.Errorf("GOMAXPROCS=%d: parallel %+v != sequential %+v", procs, got, want)
-		}
-	}
-}
-
 // TestRunStateReuse checks that the pooled scratch state (recycled
 // queue buffers, bank arrays) does not leak state between runs: a
 // reused simulator must report exactly what a fresh one does.
@@ -80,22 +42,11 @@ func TestRunStateReuse(t *testing.T) {
 	warm := newSim(t, 4)
 	tr1 := mixedTrace(2000)
 	tr2 := seqTrace(500, 64, 64, trace.Write)
-	warm.RunTrace(tr1) // dirty the pooled state with a larger trace
-	got := warm.RunTrace(tr2)
-	want := newSim(t, 4).RunTrace(tr2)
+	warm.RunOverlay(tr1, nil) // dirty the pooled state with a larger trace
+	got := warm.RunOverlay(tr2, nil)
+	want := newSim(t, 4).RunOverlay(tr2, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reused state %+v != fresh %+v", got, want)
-	}
-}
-
-// TestRunAccessesMatchesRunTrace pins the zero-copy equivalence: the
-// trace wrapper adds nothing beyond the raw slice.
-func TestRunAccessesMatchesRunTrace(t *testing.T) {
-	tr := mixedTrace(800)
-	a := newSim(t, 4).RunAccesses(tr.Accesses)
-	b := newSim(t, 4).RunTrace(tr)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("RunAccesses %+v != RunTrace %+v", a, b)
 	}
 }
 
@@ -108,7 +59,7 @@ func TestNonPowerOfTwoChannels(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Append(trace.Access{Addr: uint64(i) * 448, Bytes: 448, Kind: trace.Read})
 	}
-	st := s.RunTrace(tr)
+	st := s.RunOverlay(tr, nil)
 	if st.Reads != 700 { // 100 accesses x 7 bursts
 		t.Errorf("reads = %d, want 700", st.Reads)
 	}
@@ -128,7 +79,7 @@ func TestNonPowerOfTwoChannels(t *testing.T) {
 
 // TestRunTraceAllocGuard pins the steady-state allocation budget of
 // the hot path: a warmed simulator must stay at or below the pr2
-// level of 5 allocs per sequential RunTrace (the ChanCycles result
+// level of 5 allocs per drain (the ChanCycles result
 // slice plus the replayable-iterator closures). A regression here —
 // e.g. a per-pick allocation sneaking into the bank-bucketed drain —
 // fails CI instead of silently rotting until someone reruns the
@@ -142,11 +93,10 @@ func TestRunTraceAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSequentialDrain(true)
-	s.RunTrace(tr) // grow the pooled queues once
-	allocs := testing.AllocsPerRun(10, func() { s.RunTrace(tr) })
+	s.RunOverlay(tr, nil) // grow the pooled queues once
+	allocs := testing.AllocsPerRun(10, func() { s.RunOverlay(tr, nil) })
 	if allocs > 5 {
-		t.Errorf("RunTrace allocates %.1f times per run, want <= 5 (pr2 level)", allocs)
+		t.Errorf("RunOverlay allocates %.1f times per run, want <= 5 (pr2 level)", allocs)
 	}
 }
 
@@ -165,21 +115,13 @@ func BenchmarkRunTrace(b *testing.B) {
 			Kind:  trace.Kind(i % 2),
 		})
 	}
-	for _, mode := range []struct {
-		name string
-		seq  bool
-	}{{"parallel", false}, {"sequential", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s, err := New(DDR4Like(4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetSequentialDrain(mode.seq)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.RunTrace(tr)
-			}
-		})
+	s, err := New(DDR4Like(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunOverlay(tr, nil)
 	}
 }

@@ -34,10 +34,10 @@
 // a shared Arena. RunOverlay consumes a protection scheme's
 // spine+overlay stream pair merged in anchor order, so the
 // scheme-independent data stream is never duplicated per scheme.
-// Channels are fully independent after the explode step, so they drain
-// on parallel goroutines by default; per-channel statistics merge in
-// channel-index order, making Stats bit-identical to a sequential
-// drain.
+// Channels are fully independent after the explode step and drain one
+// after another, in index order, on the caller's goroutine;
+// concurrency lives a level up, where the schemes and workloads of a
+// sweep run side by side.
 package dram
 
 import (
@@ -85,8 +85,20 @@ func (c Config) Validate() error {
 	if c.RowBytes < c.BurstBytes {
 		return fmt.Errorf("dram: row size %d below burst size %d", c.RowBytes, c.BurstBytes)
 	}
+	// The drain's uint64 cycle clock adds one of these per command; a
+	// bound far above any real part keeps every trace clear of
+	// wraparound, which would otherwise stall the drain indefinitely.
+	if t := max(c.TBurst, c.TCL, c.TRCD, c.TRP, c.TRAS, c.TRefi, c.TRfc); t > maxTimingCycles {
+		return fmt.Errorf("dram: timing of %d cycles exceeds %d", t, uint64(maxTimingCycles))
+	}
+	if c.TRefi > 0 && c.TRfc >= c.TRefi {
+		return fmt.Errorf("dram: refresh duration %d >= refresh interval %d leaves no time for requests", c.TRfc, c.TRefi)
+	}
 	return nil
 }
+
+// maxTimingCycles bounds every timing parameter Validate accepts.
+const maxTimingCycles = 1 << 32
 
 // DDR4Like returns a timing template with realistic relative latencies
 // for a 64-bit channel; callers scale counts/bandwidth via the NPU
@@ -199,7 +211,7 @@ type channel struct {
 }
 
 // chanResult is one channel's contribution to Stats, accumulated
-// privately by its drain goroutine and merged in channel-index order.
+// privately by its drain and merged in channel-index order.
 type chanResult struct {
 	rowHits   uint64
 	rowMisses uint64
@@ -213,7 +225,7 @@ type chanResult struct {
 // runState is the per-run scratch memory: channel structs with their
 // bank arrays, span queues and window rings, plus the per-channel fill
 // cursors.
-// States are recycled through Simulator.pool so steady-state RunTrace
+// States are recycled through Simulator.pool so steady-state RunOverlay
 // calls allocate only the returned ChanCycles slice.
 type runState struct {
 	chans   []channel
@@ -232,7 +244,8 @@ type Arena struct {
 	pool sync.Pool // *runState
 }
 
-// NewArena builds an empty shared state pool.
+// NewArena builds an empty shared state pool. perfbench pins this
+// signature.
 func NewArena() *Arena { return &Arena{} }
 
 // decoder splits byte addresses into (channel, bank, row) with the
@@ -298,14 +311,13 @@ func (d *decoder) split(burst uint64) (ch uint64, bk int32, row int64) {
 
 // Simulator drains traces through the memory system.
 type Simulator struct {
-	cfg        Config
-	dec        decoder
-	sequential bool
-	arena      *Arena    // shared scratch pool, if set
-	pool       sync.Pool // private *runState pool otherwise
+	cfg   Config
+	dec   decoder
+	arena *Arena    // shared scratch pool, if set
+	pool  sync.Pool // private *runState pool otherwise
 }
 
-// New builds a simulator.
+// New builds a simulator. perfbench pins this signature.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -316,15 +328,11 @@ func New(cfg Config) (*Simulator, error) {
 // Config returns the configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// SetSequentialDrain forces channels to drain one after another on the
-// calling goroutine instead of in parallel. Results are bit-identical
-// either way; the switch exists for determinism tests and debugging.
-func (s *Simulator) SetSequentialDrain(v bool) { s.sequential = v }
-
 // SetArena points the simulator at a shared scratch pool. Simulators
 // sharing an arena should have the same geometry; a pooled state whose
 // geometry does not match the configuration is discarded and rebuilt,
-// so mixing geometries is safe but defeats the reuse.
+// so mixing geometries is safe but defeats the reuse. perfbench pins
+// this signature.
 func (s *Simulator) SetArena(a *Arena) { s.arena = a }
 
 // statePool returns the pool run states are drawn from and returned to.
@@ -407,46 +415,25 @@ func (s *Simulator) bursts(bytes uint32) int {
 	return n
 }
 
-// RunTrace drains a trace through the memory system. The trace is
-// consumed in place — no intermediate representation is built.
-func (s *Simulator) RunTrace(t *trace.Trace) Stats { return s.RunAccesses(t.Accesses) }
-
-// RunAccesses drains a raw access slice and returns timing statistics.
-// Requests are split into bursts, distributed to exact-size per-channel
-// queues (burst counts are computed in a pre-pass so the fill never
-// reallocates), and each channel is scheduled FR-FCFS (row hits first
-// within the window, else oldest). Channels drain concurrently unless
-// SetSequentialDrain was called; statistics merge deterministically.
-func (s *Simulator) RunAccesses(accesses []trace.Access) Stats {
-	st, _ := s.RunAccessesCtx(context.Background(), accesses)
-	return st
-}
-
-// RunAccessesCtx is RunAccesses under a context: the drain loops check
-// ctx cooperatively (every few thousand scheduler picks, between
-// explode passes) and abandon the run, returning ctx.Err(), once it is
-// cancelled. A cancelled run's Stats are meaningless and must not be
-// used.
-func (s *Simulator) RunAccessesCtx(ctx context.Context, accesses []trace.Access) (Stats, error) {
-	return s.run(ctx, func(yield func(*trace.Access)) {
-		for i := range accesses {
-			yield(&accesses[i])
-		}
-	})
-}
-
 // RunOverlay drains the merge of a shared data spine and a scheme's
 // overlay deltas, interleaved in anchor order, without materializing
 // the combined trace: both explode passes walk the two streams in
-// place. Stats are bit-identical to RunTrace over the materialized
-// merge (see TestRunOverlayMatchesMaterialized).
+// place. A nil overlay drains the spine alone. Accesses are split into
+// bursts, distributed to exact-size per-channel queues, and each
+// channel is scheduled FR-FCFS (row hits first within the window, else
+// oldest). Stats are bit-identical to draining the materialized merge
+// (see TestRunOverlayMatchesMaterialized). perfbench pins this
+// signature.
 func (s *Simulator) RunOverlay(spine *trace.Trace, deltas *trace.Overlay) Stats {
 	st, _ := s.RunOverlayCtx(context.Background(), spine, deltas)
 	return st
 }
 
-// RunOverlayCtx is RunOverlay under a context, with the cooperative
-// cancellation behavior of RunAccessesCtx.
+// RunOverlayCtx is RunOverlay under a context: the drain loops check
+// ctx cooperatively (every few thousand scheduler picks, between
+// explode passes) and abandon the run, returning ctx.Err(), once it is
+// cancelled. A cancelled run's Stats are meaningless and must not be
+// used.
 func (s *Simulator) RunOverlayCtx(ctx context.Context, spine *trace.Trace, deltas *trace.Overlay) (Stats, error) {
 	return s.run(ctx, func(yield func(*trace.Access)) {
 		trace.ForEachMerged(spine, deltas, yield)
@@ -604,32 +591,18 @@ func (s *Simulator) run(ctx context.Context, iter func(yield func(*trace.Access)
 		}
 	})
 
-	// Drain. Channels share no state after the explode, so they can
-	// run on parallel goroutines; each accumulates into its own
-	// chanResult slot. Every channel observes the same done channel, so
-	// a cancellation stops all of them within one check interval.
-	if s.sequential || s.cfg.Channels == 1 {
-		for ci := range chans {
-			rs.results[ci] = s.drainChannel(&chans[ci], done)
-			if rs.results[ci].aborted {
-				break
-			}
+	// Drain. Channels share no state after the explode; each drains in
+	// index order into its own chanResult slot, and a cancellation
+	// stops the drain within one check interval.
+	for ci := range chans {
+		rs.results[ci] = s.drainChannel(&chans[ci], done)
+		if rs.results[ci].aborted {
+			break
 		}
-	} else {
-		var wg sync.WaitGroup
-		for ci := range chans {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				rs.results[ci] = s.drainChannel(&chans[ci], done)
-			}(ci)
-		}
-		wg.Wait()
 	}
 
 	// Merge per-channel results in channel-index order. Every field is
-	// a sum or max of per-channel values, so the merged Stats is
-	// bit-identical to what a sequential drain produces.
+	// a sum or max of per-channel values.
 	for ci := range chans {
 		r := &rs.results[ci]
 		if r.aborted {

@@ -109,16 +109,12 @@ func TestFRFCFSGoldenPickOrder(t *testing.T) {
 			t.Errorf("no golden stats recorded for %q", name)
 			continue
 		}
-		for _, seqDrain := range []bool{true, false} {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.SetSequentialDrain(seqDrain)
-			got := s.RunTrace(tr)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s seqDrain=%v:\n got %+v\nwant %+v", name, seqDrain, got, want)
-			}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.RunOverlay(tr, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
@@ -139,8 +135,7 @@ func TestFRFCFSGoldenDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSequentialDrain(true)
-		st := s.RunTrace(tr)
+		st := s.RunOverlay(tr, nil)
 		t.Logf("%q: {Cycles: %d, Reads: %d, Writes: %d, RowHits: %d, RowMisses: %d, RowEmpty: %d, Refreshes: %d, BytesMoved: %d, ChanCycles: %#v, MaxChanBusy: %d},",
 			name, st.Cycles, st.Reads, st.Writes, st.RowHits, st.RowMisses, st.RowEmpty, st.Refreshes, st.BytesMoved, st.ChanCycles, st.MaxChanBusy)
 	}

@@ -47,20 +47,14 @@ func overlayPair(n int) (*trace.Trace, *trace.Overlay) {
 }
 
 // TestRunOverlayMatchesMaterialized pins the tentpole equivalence: the
-// two-stream consumption path produces bit-identical Stats to running
-// the materialized merge through RunTrace.
+// two-stream consumption path produces bit-identical Stats to draining
+// the materialized merge on its own.
 func TestRunOverlayMatchesMaterialized(t *testing.T) {
 	spine, ov := overlayPair(500)
-	for _, seqDrain := range []bool{false, true} {
-		a := newSim(t, 4)
-		a.SetSequentialDrain(seqDrain)
-		b := newSim(t, 4)
-		b.SetSequentialDrain(seqDrain)
-		got := a.RunOverlay(spine, ov)
-		want := b.RunTrace(ov.Materialize(spine))
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seqDrain=%v: RunOverlay %+v != materialized RunTrace %+v", seqDrain, got, want)
-		}
+	got := newSim(t, 4).RunOverlay(spine, ov)
+	want := newSim(t, 4).RunOverlay(ov.Materialize(spine), nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RunOverlay %+v != materialized merge %+v", got, want)
 	}
 }
 
@@ -69,13 +63,9 @@ func TestRunOverlayMatchesMaterialized(t *testing.T) {
 func TestRunOverlayEmptyDeltas(t *testing.T) {
 	spine, _ := overlayPair(100)
 	got := newSim(t, 4).RunOverlay(spine, &trace.Overlay{})
-	want := newSim(t, 4).RunTrace(spine)
+	want := newSim(t, 4).RunOverlay(spine, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("empty overlay %+v != spine-only %+v", got, want)
-	}
-	gotNil := newSim(t, 4).RunOverlay(spine, nil)
-	if !reflect.DeepEqual(gotNil, want) {
-		t.Errorf("nil overlay %+v != spine-only %+v", gotNil, want)
 	}
 }
 
@@ -130,7 +120,8 @@ func TestArenaGeometryMismatchRebuilds(t *testing.T) {
 }
 
 // TestArenaConcurrentUse exercises the arena from parallel goroutines
-// (the six schemes of a workload run concurrently by default).
+// (the schemes of a workload run concurrently under the default
+// options).
 func TestArenaConcurrentUse(t *testing.T) {
 	spine, ov := overlayPair(400)
 	arena := NewArena()

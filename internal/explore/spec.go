@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -86,6 +87,11 @@ func axisNames() []string {
 // maxAxisValues bounds a single axis so a typo'd step cannot enumerate
 // forever; the grid-level budget is the caller's MaxPoints.
 const maxAxisValues = 4096
+
+// maxIntValue is the largest value an integer axis accepts: every
+// integer up to 2^53 is exact in a float64, so Canonical prints it
+// back verbatim and the NPUConfig field receives it unchanged.
+const maxIntValue = 1 << 53
 
 // Spec is a parsed grid specification.
 type Spec struct {
@@ -195,7 +201,11 @@ func expandRange(def axisDef, lo, hi float64, step string) ([]float64, error) {
 		if len(out) >= maxAxisValues {
 			return fmt.Errorf("range expands past %d values", maxAxisValues)
 		}
-		out = append(out, normalize(def, v))
+		v = normalize(def, v)
+		if err := checkValue(def, v); err != nil {
+			return fmt.Errorf("range value %g %w", v, err)
+		}
+		out = append(out, v)
 		return nil
 	}
 	// hi is inclusive with a relative tolerance, so 32:256:2x ends on
@@ -261,13 +271,30 @@ func parseValue(def axisDef, s string) (float64, error) {
 		return 0, fmt.Errorf("value %q: %w", s, err)
 	}
 	v *= mult
-	if v <= 0 {
-		return 0, fmt.Errorf("value %q is not positive", s)
-	}
-	if def.kind != kindRate && v != math.Trunc(v) {
-		return 0, fmt.Errorf("value %q is not an integer", s)
+	if err := checkValue(def, v); err != nil {
+		return 0, fmt.Errorf("value %q %w", s, err)
 	}
 	return v, nil
+}
+
+// checkValue enforces an axis's value domain: finite and positive
+// (ParseFloat accepts "NaN" and "Inf", and a NaN rate would derive DRAM
+// timings no drain finishes), and on integer axes a whole number no
+// larger than maxIntValue.
+func checkValue(def axisDef, v float64) error {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return errors.New("is not finite")
+	case v <= 0:
+		return errors.New("is not positive")
+	case def.kind == kindRate:
+		return nil
+	case v != math.Trunc(v):
+		return errors.New("is not an integer")
+	case v > maxIntValue:
+		return fmt.Errorf("exceeds %d", int64(maxIntValue))
+	}
+	return nil
 }
 
 // Canonical returns the normalized spec string: axes in table order,

@@ -42,28 +42,36 @@ func TestParseSpecRangesAndLists(t *testing.T) {
 	}
 }
 
+// specErrorCases pins ParseSpec's rejections; FuzzParseSpec seeds its
+// corpus from the inputs.
+var specErrorCases = []struct {
+	in      string
+	errWant string
+}{
+	{"", "empty spec"},
+	{"rows", "not name=values"},
+	{"pes=64", "unknown axis"},
+	{"rows=32,rows=64", "twice"},
+	{"rows=64:32", "descends"},
+	{"rows=32:64:1x", "factor > 1"},
+	{"rows=32:64:0.5x", "factor > 1"},
+	{"rows=32:64:-16", "neither"},
+	{"rows=32:64:16", "neither"},
+	{"rows=1:1M:+1", "expands past"},
+	{"rows=0", "not positive"},
+	{"rows=-4", "not positive"},
+	{"sram=1.5", "not an integer"},
+	{"rows=1:2:3:4", "more than two"},
+	{"rows=abc", "value"},
+	{"freq=NaN", "not finite"},
+	{"bw=NaN", "not finite"},
+	{"freq=Inf", "not finite"},
+	{"bw=1:Inf", "not finite"},
+	{"rows=1e300", "exceeds"},
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	cases := []struct {
-		in      string
-		errWant string
-	}{
-		{"", "empty spec"},
-		{"rows", "not name=values"},
-		{"pes=64", "unknown axis"},
-		{"rows=32,rows=64", "twice"},
-		{"rows=64:32", "descends"},
-		{"rows=32:64:1x", "factor > 1"},
-		{"rows=32:64:0.5x", "factor > 1"},
-		{"rows=32:64:-16", "neither"},
-		{"rows=32:64:16", "neither"},
-		{"rows=1:1M:+1", "expands past"},
-		{"rows=0", "not positive"},
-		{"rows=-4", "not positive"},
-		{"sram=1.5", "not an integer"},
-		{"rows=1:2:3:4", "more than two"},
-		{"rows=abc", "value"},
-	}
-	for _, tc := range cases {
+	for _, tc := range specErrorCases {
 		_, err := ParseSpec(tc.in)
 		if err == nil {
 			t.Errorf("%q: parsed, want error containing %q", tc.in, tc.errWant)

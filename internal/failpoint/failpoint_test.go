@@ -154,8 +154,16 @@ func TestDisableAndReset(t *testing.T) {
 	}
 }
 
+// badSpecs and badProbSpecs pin the parser's rejections (the second
+// set all through the probability modifier); FuzzFailpointParse seeds
+// its corpus from them.
+var (
+	badSpecs     = []string{"", "explode", "sleep", "sleep(xyz)", "error(unclosed", "sleep(1s"}
+	badProbSpecs = []string{"0*error", "-0.5*error", "1.1*error", "NaN*error(boom)", "x*error", "*error", "0.5*explode"}
+)
+
 func TestParseErrors(t *testing.T) {
-	for _, spec := range []string{"", "explode", "sleep", "sleep(xyz)", "error(unclosed", "sleep(1s"} {
+	for _, spec := range badSpecs {
 		if err := Enable("p", spec); err == nil {
 			t.Errorf("spec %q: expected parse error", spec)
 			Disable("p")
@@ -193,7 +201,7 @@ func TestProbabilityParse(t *testing.T) {
 		}
 		Disable("p")
 	}
-	for _, spec := range []string{"0*error", "-0.5*error", "1.1*error", "x*error", "*error", "0.5*explode"} {
+	for _, spec := range badProbSpecs {
 		if err := Enable("p", spec); err == nil {
 			t.Errorf("spec %q: expected parse error", spec)
 			Disable("p")

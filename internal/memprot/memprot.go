@@ -177,7 +177,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's cache configuration, with
-// overlay coalescing enabled.
+// overlay coalescing enabled. perfbench pins this signature.
 func DefaultOptions() Options {
 	return Options{
 		VNCacheBytes:     16 * 1024,
@@ -228,8 +228,8 @@ func (o LayerOverhead) MetaBytes() uint64 {
 // scalesim layer and shared by every scheme evaluated off the same
 // simulation — and the Deltas overlay holding only what this scheme
 // added, anchored into the spine. dram.RunOverlay consumes the two
-// streams directly; Materialize (or the Protect wrapper, which fills
-// Trace) flattens them for consumers that want one slice.
+// streams directly; Materialize flattens them for consumers that want
+// one slice.
 type ProtectedLayer struct {
 	LayerID int
 
@@ -240,15 +240,15 @@ type ProtectedLayer struct {
 	// Deltas is this scheme's metadata/over-fetch overlay.
 	Deltas *trace.Overlay
 
-	// Trace is the flattened spine+deltas merge. ProtectAll leaves it
-	// nil; Protect materializes it.
+	// Trace is the flattened spine+deltas merge, nil until Materialize
+	// builds it.
 	Trace *trace.Trace
 
 	Overhead LayerOverhead
 }
 
 // Materialize returns the layer's flat augmented trace, building it
-// from the spine and overlay if Protect has not already done so.
+// from the spine and overlay on first use.
 func (pl *ProtectedLayer) Materialize() *trace.Trace {
 	if pl.Trace == nil {
 		pl.Trace = pl.Deltas.Materialize(pl.Spine)

@@ -34,11 +34,23 @@ func serverNet(t *testing.T, name string) *scalesim.NetworkResult {
 	return res
 }
 
-func protect(t *testing.T, s Scheme, net *scalesim.NetworkResult) *Result {
+// protectWith runs one scheme through the protection walk.
+func protectWith(t testing.TB, s Scheme, net *scalesim.NetworkResult, opts Options) *Result {
 	t.Helper()
-	r, err := Protect(s, net, DefaultOptions())
+	rs, err := ProtectAllArena([]Scheme{s}, net, opts, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return rs[0]
+}
+
+// protect runs one scheme under default options and materializes every
+// layer's flat trace, for tests that inspect the accesses directly.
+func protect(t testing.TB, s Scheme, net *scalesim.NetworkResult) *Result {
+	t.Helper()
+	r := protectWith(t, s, net, DefaultOptions())
+	for i := range r.Layers {
+		r.Layers[i].Materialize()
 	}
 	return r
 }
@@ -311,7 +323,7 @@ func TestMetadataAddressesDisjointFromData(t *testing.T) {
 
 func TestProtectRejectsInvalidScheme(t *testing.T) {
 	net := edgeNet(t, "let")
-	if _, err := Protect(Scheme{Kind: SGX, Block: 7}, net, DefaultOptions()); err == nil {
+	if _, err := ProtectAllArena([]Scheme{{Kind: SGX, Block: 7}}, net, DefaultOptions(), nil); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }

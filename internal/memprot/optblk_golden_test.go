@@ -78,20 +78,14 @@ func TestSeDAOptBlkGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Protect(SchemeSeDA, sim, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := protectWith(t, SchemeSeDA, sim, DefaultOptions())
 			key := g.name + "/" + n.Name
 			if got, want := optBlkDigest(res), optBlkGolden[key]; got != want {
 				t.Errorf("%s: optBlk digest %s, want %s (a layer's searched block moved)",
 					key, got, want)
 			}
 			for _, s := range []Scheme{SchemeSGX64, SchemeMGX512, SchemeBaseline} {
-				fres, err := Protect(s, sim, DefaultOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
+				fres := protectWith(t, s, sim, DefaultOptions())
 				for i := range fres.Layers {
 					if fres.Layers[i].Overhead.OptBlk != 0 {
 						t.Fatalf("%s/%s layer %d: fixed scheme recorded OptBlk %d",
@@ -128,10 +122,7 @@ func TestOptBlkCacheSharesAcrossNPUs(t *testing.T) {
 		sims[g.name] = sim
 	}
 
-	cold, err := Protect(SchemeSeDA, sims["server"], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := protectWith(t, SchemeSeDA, sims["server"], opts)
 	if opts.OptBlkCache.Hits() != 0 && opts.OptBlkCache.Entries() == 0 {
 		t.Fatal("cold run should populate, not hit")
 	}
@@ -142,10 +133,7 @@ func TestOptBlkCacheSharesAcrossNPUs(t *testing.T) {
 
 	// Edge evaluation of the same workload: LeNet's tilings coincide,
 	// so every search must come from the server run's entries.
-	edge, err := Protect(SchemeSeDA, sims["edge"], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge := protectWith(t, SchemeSeDA, sims["edge"], opts)
 	if opts.OptBlkCache.Entries() != entries {
 		t.Errorf("edge run added %d entries; tilings coincide, want 0",
 			opts.OptBlkCache.Entries()-entries)
@@ -155,10 +143,7 @@ func TestOptBlkCacheSharesAcrossNPUs(t *testing.T) {
 	}
 
 	// Cached results must be bit-identical to uncached ones.
-	fresh, err := Protect(SchemeSeDA, sims["edge"], DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := protectWith(t, SchemeSeDA, sims["edge"], DefaultOptions())
 	for i := range fresh.Layers {
 		if fresh.Layers[i].Overhead.OptBlk != edge.Layers[i].Overhead.OptBlk {
 			t.Errorf("layer %d: cached optBlk %d != fresh %d",

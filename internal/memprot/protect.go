@@ -13,7 +13,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Arena recycles overlay storage across ProtectAll evaluations. On a
+// Arena recycles overlay storage across ProtectAllArena evaluations. On a
 // multi-workload sweep the per-scheme overlays are consumed (by the
 // DRAM model) and discarded once per workload; drawing them from an
 // arena lets the next workload refill the previous one's backing
@@ -37,7 +37,8 @@ type Arena struct {
 	head int // free[head:] are available
 }
 
-// NewArena builds an empty overlay arena.
+// NewArena builds an empty overlay arena. perfbench pins this
+// signature.
 func NewArena() *Arena { return &Arena{} }
 
 // get returns an empty overlay, recycled FIFO if one is available.
@@ -100,20 +101,17 @@ func (a *Arena) Release(rs []*Result) {
 	a.mu.Unlock()
 }
 
-// ProtectAll evaluates a set of schemes over one simulated network
-// around a shared, immutable data spine: each layer's trace is walked
-// exactly once, with every access fanned out to all scheme emitters.
-// Schemes never copy the data stream — each ProtectedLayer's Spine
-// field aliases the scalesim layer trace, and the scheme contributes
-// only its metadata/over-fetch overlay, anchored into the spine. The
-// DRAM model consumes the two streams directly (dram.RunOverlay); the
-// merge is byte-identical to the flat traces the schemes used to build.
-func ProtectAll(schemes []Scheme, net *scalesim.NetworkResult, opts Options) ([]*Result, error) {
-	return ProtectAllArena(schemes, net, opts, nil)
-}
-
-// ProtectAllArena is ProtectAll drawing overlay storage from an arena
-// (which may be nil). See Arena for the recycling contract.
+// ProtectAllArena evaluates a set of schemes over one simulated
+// network around a shared, immutable data spine: each layer's trace is
+// walked exactly once, with every access fanned out to all scheme
+// emitters. Schemes never copy the data stream — each ProtectedLayer's
+// Spine field aliases the scalesim layer trace, and the scheme
+// contributes only its metadata/over-fetch overlay, anchored into the
+// spine. The DRAM model consumes the two streams directly
+// (dram.RunOverlay); ProtectedLayer.Materialize flattens them for
+// consumers that want one slice. Overlay storage is drawn from arena,
+// which may be nil (see Arena for the recycling contract). perfbench
+// pins this signature.
 func ProtectAllArena(schemes []Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) ([]*Result, error) {
 	return ProtectAllArenaCtx(context.Background(), schemes, net, opts, arena)
 }
@@ -180,22 +178,6 @@ func ProtectAllArenaCtx(ctx context.Context, schemes []Scheme, net *scalesim.Net
 	return results, nil
 }
 
-// Protect runs a single scheme over a simulated network and returns
-// the augmented per-layer traces and overhead accounting. It is the
-// flat-trace convenience wrapper over ProtectAll: each layer's Trace
-// field holds the materialized spine+overlay merge.
-func Protect(s Scheme, net *scalesim.NetworkResult, opts Options) (*Result, error) {
-	rs, err := ProtectAll([]Scheme{s}, net, opts)
-	if err != nil {
-		return nil, err
-	}
-	r := rs[0]
-	for i := range r.Layers {
-		r.Layers[i].Materialize()
-	}
-	return r, nil
-}
-
 // OptBlkCache memoizes SeDA authblock searches by run-set geometry,
 // so evaluations whose tilings coincide — the same layer shapes on
 // NPUs whose schedules agree, or repeated sweeps in one process —
@@ -221,7 +203,8 @@ type optBlkKey struct {
 // two-NPU, 13-workload sweep.
 const optBlkCacheMax = 1 << 16
 
-// NewOptBlkCache builds an empty search cache.
+// NewOptBlkCache builds an empty search cache. perfbench pins this
+// signature.
 func NewOptBlkCache() *OptBlkCache {
 	return &OptBlkCache{m: make(map[optBlkKey]uint64)}
 }
@@ -389,7 +372,7 @@ func (p *protector) drain(res *Result) {
 
 // protector holds per-network scheme state (metadata caches persist
 // across layers within one inference) plus the streaming cursor for
-// the layer currently being walked. ProtectAll drives it: beginLayer,
+// the layer currently being walked. ProtectAllArenaCtx drives it: beginLayer,
 // then access for every spine index in order, then endLayer.
 type protector struct {
 	scheme Scheme

@@ -39,10 +39,11 @@ func benchNet(b *testing.B, name string, server bool) *scalesim.NetworkResult {
 // BenchmarkProtectAll measures the protection phase on the sweep hot
 // path in three configurations:
 //
-//   - independent: six Protect calls, each materializing its flat
-//     augmented trace — the seed pipeline's shape.
-//   - shared-spine: one ProtectAll walk; schemes emit overlay deltas
-//     off the shared data spine, nothing is materialized.
+//   - independent: six single-scheme walks, each materializing its
+//     flat augmented trace — the seed pipeline's shape.
+//   - shared-spine: one ProtectAllArena walk without an arena;
+//     schemes emit overlay deltas off the shared data spine, nothing
+//     is materialized.
 //   - shared-spine-arena: ProtectAllArena drawing overlay storage from
 //     a warmed arena — the seda sweep's steady state, where workload
 //     N+1 refills the buffers workload N grew. This is the
@@ -64,16 +65,14 @@ func BenchmarkProtectAll(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range schemes {
-					if _, err := Protect(s, net, DefaultOptions()); err != nil {
-						b.Fatal(err)
-					}
+					protect(b, s, net)
 				}
 			}
 		})
 		b.Run(cfg.name+"/shared-spine", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ProtectAll(schemes, net, DefaultOptions()); err != nil {
+				if _, err := ProtectAllArena(schemes, net, DefaultOptions(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,11 +101,12 @@ func BenchmarkProtectAll(b *testing.B) {
 // non-benchmark guard on the steady-state property, with a
 // deliberately generous factor so measurement noise cannot flake it:
 // a warmed shared-spine+arena evaluation must allocate at least 3x
-// less than six independent Protect calls (the benchmark records the
-// real number, which is far larger). The factor was 4x before overlay
-// coalescing; coalescing shrinks the independent baseline too (its
-// materialized traces carry several-fold fewer overlay entries), so
-// the multiplier between the two paths legitimately narrowed.
+// less than six independent materialized single-scheme walks (the
+// benchmark records the real number, which is far larger). The factor
+// was 4x before overlay coalescing; coalescing shrinks the independent
+// baseline too (its materialized traces carry several-fold fewer
+// overlay entries), so the multiplier between the two paths
+// legitimately narrowed.
 func TestProtectAllAllocatesFarLessThanIndependentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -128,9 +128,7 @@ func TestProtectAllAllocatesFarLessThanIndependentRuns(t *testing.T) {
 	})
 	independent := allocBytes(t, func() {
 		for _, s := range schemes {
-			if _, err := Protect(s, net, DefaultOptions()); err != nil {
-				t.Fatal(err)
-			}
+			protect(t, s, net)
 		}
 	})
 	if shared*3 > independent {

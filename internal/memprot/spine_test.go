@@ -13,7 +13,7 @@ import (
 // data stream is built once per workload and never copied per scheme.
 func TestProtectAllSharesOneSpine(t *testing.T) {
 	net := edgeNet(t, "let")
-	prots, err := ProtectAll(AllSchemes(), net, DefaultOptions())
+	prots, err := ProtectAllArena(AllSchemes(), net, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestProtectAllSharesOneSpine(t *testing.T) {
 					r.Scheme.Name(), i)
 			}
 			if r.Layers[i].Trace != nil {
-				t.Fatalf("%s layer %d: ProtectAll materialized a flat trace", r.Scheme.Name(), i)
+				t.Fatalf("%s layer %d: ProtectAllArena materialized a flat trace", r.Scheme.Name(), i)
 			}
 		}
 	}
@@ -44,37 +44,12 @@ func TestProtectAllLeavesSpineUntouched(t *testing.T) {
 	for i := range net.Layers {
 		before[i] = append([]trace.Access(nil), net.Layers[i].Trace.Accesses...)
 	}
-	if _, err := ProtectAll(AllSchemes(), net, DefaultOptions()); err != nil {
+	if _, err := ProtectAllArena(AllSchemes(), net, DefaultOptions(), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range net.Layers {
 		if !reflect.DeepEqual(before[i], net.Layers[i].Trace.Accesses) {
-			t.Fatalf("layer %d: spine mutated by ProtectAll", i)
-		}
-	}
-}
-
-// TestProtectMatchesProtectAllMaterialized: the flat wrapper and the
-// overlay path describe the same augmented trace, access for access.
-func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
-	net := edgeNet(t, "ncf")
-	prots, err := ProtectAll(AllSchemes(), net, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range prots {
-		flat := protect(t, r.Scheme, net)
-		for i := range r.Layers {
-			got := r.Layers[i].Materialize()
-			want := flat.Layers[i].Trace
-			if !reflect.DeepEqual(got.Accesses, want.Accesses) {
-				t.Fatalf("%s layer %d: materialized overlay differs from Protect trace",
-					r.Scheme.Name(), i)
-			}
-			if r.Layers[i].Overhead != flat.Layers[i].Overhead {
-				t.Fatalf("%s layer %d: overhead %+v != %+v",
-					r.Scheme.Name(), i, r.Layers[i].Overhead, flat.Layers[i].Overhead)
-			}
+			t.Fatalf("layer %d: spine mutated by ProtectAllArena", i)
 		}
 	}
 }
@@ -84,12 +59,12 @@ func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 // (scheme state never leaks across emitters).
 func TestProtectAllMatchesIndependentRuns(t *testing.T) {
 	net := edgeNet(t, "sent")
-	all, err := ProtectAll(AllSchemes(), net, DefaultOptions())
+	all, err := ProtectAllArena(AllSchemes(), net, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, s := range AllSchemes() {
-		solo, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+		solo, err := ProtectAllArena([]Scheme{s}, net, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +85,7 @@ func TestProtectAllMatchesIndependentRuns(t *testing.T) {
 func TestDrainAddressesPerCacheRegion(t *testing.T) {
 	for _, s := range []Scheme{SchemeSGX64, SchemeSGX512} {
 		net := edgeNet(t, "let")
-		prots, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+		prots, err := ProtectAllArena([]Scheme{s}, net, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +137,7 @@ func TestMetadataRegionsNeverOverlap(t *testing.T) {
 	for _, s := range []Scheme{SchemeSGX64, SchemeSGX512, SchemeMGX64, SchemeMGX512} {
 		for _, wl := range []string{"alex", "sent"} {
 			net := edgeNet(t, wl)
-			prots, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+			prots, err := ProtectAllArena([]Scheme{s}, net, DefaultOptions(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +230,7 @@ func TestMetadataRegionsDisjointAtFullSpan(t *testing.T) {
 	net := &scalesim.NetworkResult{Layers: []scalesim.LayerResult{{LayerID: 0, Trace: tr}}}
 
 	for _, s := range []Scheme{SchemeSGX64, SchemeSGX512, SchemeMGX64, SchemeMGX512} {
-		prots, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+		prots, err := ProtectAllArena([]Scheme{s}, net, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +278,7 @@ func TestMetadataRegionsDisjointAtFullSpan(t *testing.T) {
 // TestProtectAllRejectsInvalidScheme mirrors the single-scheme guard.
 func TestProtectAllRejectsInvalidScheme(t *testing.T) {
 	net := edgeNet(t, "let")
-	if _, err := ProtectAll([]Scheme{SchemeSGX64, {Kind: MGX, Block: 7}}, net, DefaultOptions()); err == nil {
+	if _, err := ProtectAllArena([]Scheme{SchemeSGX64, {Kind: MGX, Block: 7}}, net, DefaultOptions(), nil); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }

@@ -73,6 +73,9 @@ type API struct {
 	Log     *slog.Logger // never nil; newServer defaults to discard
 }
 
+// NewAPI builds the handler set over cache, evaluating sweeps under
+// opts and bounding each request's evaluation by reqTimeout (0 =
+// none). perfbench pins this signature.
 func NewAPI(cache *rescache.Cache, opts seda.SuiteOptions, reqTimeout time.Duration) *API {
 	// One sweep fans its workloads over a worker pool, and every
 	// uncached workload's evaluation takes one of the cache's bounded

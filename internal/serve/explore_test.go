@@ -5,8 +5,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/explore"
 	"repro/internal/memprot"
@@ -151,5 +153,31 @@ func TestExploreEndpointGridCap(t *testing.T) {
 		map[string]string{"If-None-Match": etag})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("revalidation under lowered cap: got %d, want 400", rec.Code)
+	}
+}
+
+// TestExploreRejectsDegenerateRates: a grid whose rates the DRAM model
+// cannot time — NaN, infinite, or so large the derived timings wrap the
+// drain's cycle clock — answers 400 at once. Such a point used to start
+// a drain that neither finished nor observed its context, so one
+// request could hold a compute slot indefinitely; the deadline below
+// turns that hang into a failure.
+func TestExploreRejectsDegenerateRates(t *testing.T) {
+	h, _ := testHandler(t)
+	for _, spec := range []string{"freq%3DNaN", "bw%3DNaN", "freq%3DInf", "freq%3D1e300"} {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/explore?workloads=let&spec="+spec, nil))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("spec %s: status %d, want 400: %s", spec, rec.Code, rec.Body.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("spec %s: no answer within 10s", spec)
+		}
 	}
 }

@@ -21,32 +21,30 @@ import (
 // cache are indistinguishable from freshly computed ones and re-serialize
 // to byte-identical output — see TestCachedRowsByteIdentical.
 
-// RunNetworkCached evaluates every scheme on one network, serving from
-// (and filling) c. hit reports whether the result was served without a
-// fresh pipeline evaluation by this call: from memory, from the disk
-// layer, or by coalescing onto a concurrent identical evaluation. A
-// nil cache degrades to RunNetworkOpts.
-func RunNetworkCached(c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) (rows []RunResult, hit bool, err error) {
-	return RunNetworkCachedCtx(context.Background(), c, npu, net, opts)
+// RunSuiteCachedCtx is RunSuiteOptsCtx with the per-network cache c in
+// front: each (NPU, network) pair is looked up independently, so a
+// sweep only evaluates the workloads the cache has not seen. A nil
+// cache evaluates every workload fresh. The context governs each
+// workload's wait on the cache, not the evaluation itself: the pipeline
+// runs under the cache's detached compute context, so a caller that
+// cancels detaches immediately while an evaluation other callers still
+// await keeps running — see rescache.GetOrComputeCtx.
+func RunSuiteCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
+	return runSuite(ctx, c, npu, nets, opts)
 }
 
-// RunNetworkCachedCtx is RunNetworkCached under a caller context. The
-// context governs this caller's wait on the cache, not the evaluation
-// itself: the pipeline runs under the cache's detached compute context
-// (which the evaluation observes via RunNetworkOptsCtx), so a caller
-// that cancels detaches immediately while an evaluation other callers
-// still await keeps running — see rescache.GetOrComputeCtx.
-func RunNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) (rows []RunResult, hit bool, err error) {
+// runNetworkCached evaluates every scheme on one network, serving from
+// (and filling) c. A nil cache degrades to runNetwork.
+func runNetworkCached(ctx context.Context, c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) ([]RunResult, error) {
 	if c == nil {
-		rows, err = RunNetworkOptsCtx(ctx, npu, net, opts)
-		return rows, false, err
+		return runNetwork(ctx, npu, net, opts)
 	}
 	if err := npu.Validate(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	key := ConfigFingerprint(npu, net)
 	compute := func(cctx context.Context) ([]byte, error) {
-		fresh, err := RunNetworkOptsCtx(cctx, npu, net, opts)
+		fresh, err := runNetwork(cctx, npu, net, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -57,9 +55,9 @@ func RunNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 	// marshaling of a full scheme set): evict it and recompute once, so
 	// the cache self-heals instead of pinning the corruption in memory.
 	for attempt := 0; ; attempt++ {
-		blob, hit, err := c.GetOrComputeCtx(ctx, key, compute)
+		blob, _, err := c.GetOrComputeCtx(ctx, key, compute)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		var decoded []RunResult
 		derr := json.Unmarshal(blob, &decoded)
@@ -71,29 +69,8 @@ func RunNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 				c.Evict(key)
 				continue
 			}
-			return nil, false, fmt.Errorf("seda: corrupt cache entry %s: %w", key, derr)
+			return nil, fmt.Errorf("seda: corrupt cache entry %s: %w", key, derr)
 		}
-		return decoded, hit, nil
+		return decoded, nil
 	}
-}
-
-// RunSuiteCached is RunSuiteOpts with the per-network cache in front:
-// each (NPU, network) pair is looked up independently, so a sweep only
-// evaluates the workloads the cache has not seen. Uncached workloads
-// run through the same bounded worker pool as RunSuiteOpts, and output
-// is assembled in input order regardless of scheduling.
-func RunSuiteCached(c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
-	return RunSuiteCachedCtx(context.Background(), c, npu, nets, opts)
-}
-
-// RunSuiteCachedCtx is RunSuiteCached under a caller context, with the
-// per-workload cancellation semantics of RunNetworkCachedCtx.
-func RunSuiteCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
-	if c == nil {
-		return RunSuiteOptsCtx(ctx, npu, nets, opts)
-	}
-	return runSuiteWith(ctx, npu, nets, opts, func(ctx context.Context, n *model.Network) ([]RunResult, error) {
-		rows, _, err := RunNetworkCachedCtx(ctx, c, npu, n, opts)
-		return rows, err
-	})
 }

@@ -2,6 +2,7 @@ package seda
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,17 @@ import (
 	"repro/internal/model"
 	"repro/internal/rescache"
 )
+
+// runOneCached evaluates one workload through a one-workload cached
+// suite and returns its per-scheme rows.
+func runOneCached(t *testing.T, c *rescache.Cache, npu NPUConfig, net *model.Network) []RunResult {
+	t.Helper()
+	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{net}, DefaultSuiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite.Rows[net.Name]
+}
 
 func newTestCache(t *testing.T) *rescache.Cache {
 	t.Helper()
@@ -52,24 +64,18 @@ func TestRunNetworkCachedMatchesFresh(t *testing.T) {
 	c := newTestCache(t)
 	npu, net := EdgeNPU(), model.ByName("let")
 
-	fresh, err := RunNetworkOpts(npu, net, DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, hit, err := RunNetworkCached(c, npu, net, DefaultSuiteOptions())
-	if err != nil || hit {
-		t.Fatalf("first cached run: hit=%v err=%v", hit, err)
+	fresh := runOne(t, npu, net, DefaultSuiteOptions())
+	got := runOneCached(t, c, npu, net)
+	if st := c.Stats(); st.Computes != 1 || st.Hits != 0 {
+		t.Fatalf("first cached run: stats = %+v, want 1 compute and no hit", st)
 	}
 	assertRowsEqual(t, got, fresh)
 
-	again, hit, err := RunNetworkCached(c, npu, net, DefaultSuiteOptions())
-	if err != nil || !hit {
-		t.Fatalf("second cached run: hit=%v err=%v", hit, err)
+	again := runOneCached(t, c, npu, net)
+	if st := c.Stats(); st.Computes != 1 || st.Hits != 1 {
+		t.Fatalf("second cached run: stats = %+v, want 1 compute and 1 hit", st)
 	}
 	assertRowsEqual(t, again, fresh)
-	if st := c.Stats(); st.Computes != 1 {
-		t.Fatalf("stats = %+v, want 1 compute", st)
-	}
 }
 
 // Identical concurrent evaluations must coalesce onto exactly one
@@ -87,7 +93,11 @@ func TestRunNetworkCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = RunNetworkCached(c, npu, net, DefaultSuiteOptions())
+			suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{net}, DefaultSuiteOptions())
+			if err == nil {
+				results[i] = suite.Rows[net.Name]
+			}
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
@@ -114,10 +124,8 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 
 	// Prime the cache with one workload, then sweep two: only the
 	// uncached one evaluates.
-	if _, _, err := RunNetworkCached(c, npu, let, DefaultSuiteOptions()); err != nil {
-		t.Fatal(err)
-	}
-	suite, err := RunSuiteCached(c, npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
+	runOneCached(t, c, npu, let)
+	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,7 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 computes (let, ncf) and 1 hit (let reused)", st)
 	}
 
-	want, err := RunSuiteOn(npu, []*model.Network{let, ncf})
+	want, err := RunSuiteOpts(npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +153,7 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 func TestRunSuiteCachedNilCacheFallsBack(t *testing.T) {
 	npu := EdgeNPU()
 	nets := []*model.Network{model.ByName("let")}
-	suite, err := RunSuiteCached(nil, npu, nets, DefaultSuiteOptions())
+	suite, err := RunSuiteCachedCtx(context.Background(), nil, npu, nets, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,20 +170,14 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err := RunNetworkCached(c1, npu, net, DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := runOneCached(t, c1, npu, net)
 
 	// A new process (fresh cache, same dir) serves from disk.
 	c2, err := rescache.New(rescache.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, hit, err := RunNetworkCached(c2, npu, net, DefaultSuiteOptions())
-	if err != nil || !hit {
-		t.Fatalf("warm start: hit=%v err=%v", hit, err)
-	}
+	warm := runOneCached(t, c2, npu, net)
 	assertRowsEqual(t, warm, fresh)
 	if st := c2.Stats(); st.DiskHits != 1 || st.Computes != 0 {
 		t.Fatalf("stats = %+v, want pure disk hit", st)
@@ -216,14 +218,12 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := RunNetworkCached(c, npu, net, DefaultSuiteOptions())
+	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{net}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatalf("corrupt entry not healed: %v", err)
 	}
-	want, err := RunNetworkOpts(npu, net, DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := suite.Rows[net.Name]
+	want := runOne(t, npu, net, DefaultSuiteOptions())
 	assertRowsEqual(t, rows, want)
 	if st := c.Stats(); st.Computes != 1 {
 		t.Fatalf("stats = %+v, want 1 recompute", st)
@@ -234,9 +234,9 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, hit, err := RunNetworkCached(c2, npu, net, DefaultSuiteOptions())
-	if err != nil || !hit {
-		t.Fatalf("repaired entry: hit=%v err=%v", hit, err)
+	again := runOneCached(t, c2, npu, net)
+	if st := c2.Stats(); st.DiskHits != 1 || st.Computes != 0 {
+		t.Fatalf("repaired entry: stats = %+v, want a pure disk hit", st)
 	}
 	assertRowsEqual(t, again, want)
 }

@@ -39,11 +39,11 @@ func TestCoalescedOverlaysDRAMEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raws, err := memprot.ProtectAll(Schemes(), sim, rawOpts)
+			raws, err := memprot.ProtectAllArena(Schemes(), sim, rawOpts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			coals, err := memprot.ProtectAll(Schemes(), sim, coalOpts)
+			coals, err := memprot.ProtectAllArena(Schemes(), sim, coalOpts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,11 +108,11 @@ func TestCoalescedMaterializedTraceConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws, err := memprot.ProtectAll(Schemes(), sim, rawOpts)
+	raws, err := memprot.ProtectAllArena(Schemes(), sim, rawOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coals, err := memprot.ProtectAll(Schemes(), sim, memprot.DefaultOptions())
+	coals, err := memprot.ProtectAllArena(Schemes(), sim, memprot.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +131,13 @@ func TestCoalescedMaterializedTraceConserved(t *testing.T) {
 }
 
 // TestRunNetworkMatchesRawOverlays pins the end-to-end figure
-// equivalence the coalescing claims: RunNetworkOpts (which evaluates
+// equivalence the coalescing claims: the pipeline (which evaluates
 // with DefaultOptions, coalescing on) must produce rows identical to
 // an evaluation forced through raw overlays.
 func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("ncf")
-	rows, err := RunNetworkOpts(npu, net, SequentialOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runOne(t, npu, net, SuiteOptions{Workers: 1})
 
 	// Re-evaluate by hand with raw overlays, mirroring runScheme.
 	rawOpts := memprot.DefaultOptions()
@@ -153,7 +150,7 @@ func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws, err := memprot.ProtectAll(Schemes(), sim, rawOpts)
+	raws, err := memprot.ProtectAllArena(Schemes(), sim, rawOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +159,6 @@ func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dsim.SetSequentialDrain(true)
 		var exec uint64
 		var data, meta uint64
 		for i := range prot.Layers {

@@ -9,12 +9,20 @@
 // Typical use:
 //
 //	npu, err := seda.NPUByName("server")
-//	rows, err := seda.RunNetwork(npu, model.ByName("rest"))
-//	// rows contains normalized traffic and performance per scheme.
+//	net := model.ByName("rest")
+//	suite, err := seda.RunSuiteOpts(npu, []*model.Network{net}, seda.DefaultSuiteOptions())
+//	// suite.Rows[net.Name] holds normalized traffic and performance per scheme.
+//
+// Every evaluation is a suite over one or more workloads:
+// RunSuiteOptsCtx evaluates fresh, RunSuiteCachedCtx through a result
+// cache, and RunSuite and RunSuiteOpts are their context-free
+// shorthands. SuiteOptions.Workers is the one concurrency knob; it
+// bounds both the workload pool and each workload's scheme pool.
 package seda
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/dram"
@@ -124,6 +132,11 @@ func (c NPUConfig) Validate() error {
 	if c.FreqHz <= 0 || c.BandwidthB <= 0 || c.Channels <= 0 {
 		return fmt.Errorf("seda: non-positive memory config %+v", c)
 	}
+	// NaN passes the compares above; it and infinite rates derive no
+	// meaningful cycle counts.
+	if math.IsNaN(c.FreqHz) || math.IsNaN(c.BandwidthB) || math.IsInf(c.FreqHz, 0) || math.IsInf(c.BandwidthB, 0) {
+		return fmt.Errorf("seda: non-finite memory rate in %+v", c)
+	}
 	if c.BanksPerChan < 0 || c.RowBytes < 0 || c.BurstBytes < 0 || c.WindowSize < 0 {
 		return fmt.Errorf("seda: negative DRAM geometry in %+v (use 0 for the DDR4-like default)", c)
 	}
@@ -134,8 +147,10 @@ func (c NPUConfig) Validate() error {
 	if d.RowBytes%d.BurstBytes != 0 {
 		return fmt.Errorf("seda: NPUConfig.RowBytes %d is not a multiple of NPUConfig.BurstBytes %d: the span-queue drain addresses rows in whole bursts", d.RowBytes, d.BurstBytes)
 	}
-	// Backstop: any remaining derived-model constraint surfaces here
-	// rather than when the first trace is drained.
+	// Backstop: any remaining derived-model constraint — including
+	// timings so large (extreme FreqHz/BandwidthB ratios) that the
+	// drain's cycle clock would wrap — surfaces here rather than when
+	// the first trace is drained.
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("seda: NPUConfig %q derives an invalid DRAM config: %w", c.Name, err)
 	}
@@ -171,26 +186,28 @@ func (c NPUConfig) DRAMConfig() dram.Config {
 	perChan := c.BandwidthB / float64(c.Channels)
 	scale := c.FreqHz / 1e9 // template latencies are in ns
 
-	burst := uint64(float64(cfg.BurstBytes) / perChan * c.FreqHz)
-	if burst == 0 {
-		burst = 1
-	}
-	cfg.TBurst = burst
-	cfg.TCL = scaleNS(cfg.TCL, scale)
-	cfg.TRCD = scaleNS(cfg.TRCD, scale)
-	cfg.TRP = scaleNS(cfg.TRP, scale)
-	cfg.TRAS = scaleNS(cfg.TRAS, scale)
-	cfg.TRefi = scaleNS(cfg.TRefi, scale)
-	cfg.TRfc = scaleNS(cfg.TRfc, scale)
+	cfg.TBurst = cycles(float64(cfg.BurstBytes) / perChan * c.FreqHz)
+	cfg.TCL = cycles(float64(cfg.TCL) * scale)
+	cfg.TRCD = cycles(float64(cfg.TRCD) * scale)
+	cfg.TRP = cycles(float64(cfg.TRP) * scale)
+	cfg.TRAS = cycles(float64(cfg.TRAS) * scale)
+	cfg.TRefi = cycles(float64(cfg.TRefi) * scale)
+	cfg.TRfc = cycles(float64(cfg.TRfc) * scale)
 	return cfg
 }
 
-func scaleNS(ns uint64, scale float64) uint64 {
-	v := uint64(float64(ns) * scale)
-	if v == 0 {
-		v = 1
+// cycles truncates a derived duration to whole cycles, at least 1.
+// Durations beyond the uint64 range saturate rather than take Go's
+// implementation-defined float conversion, so dram.Config.Validate
+// rejects them the same way on every platform.
+func cycles(v float64) uint64 {
+	if v >= math.MaxUint64 {
+		return math.MaxUint64
 	}
-	return v
+	if c := uint64(v); c > 0 {
+		return c
+	}
+	return 1
 }
 
 // Schemes returns the six protection configurations of Fig. 5/6 in

@@ -11,19 +11,17 @@ import (
 )
 
 // TestRunNetworkCtxBackgroundIdentical pins that the context plumbing
-// is figure-neutral: the Ctx variant under context.Background produces
-// exactly the rows of the plain call.
+// is figure-neutral: the Ctx entry point under context.Background
+// produces exactly the rows of the plain call.
 func TestRunNetworkCtxBackgroundIdentical(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("let")
-	want, err := RunNetworkOpts(npu, net, SequentialOptions())
+	want := runOne(t, npu, net, SuiteOptions{Workers: 1})
+	suite, err := RunSuiteOptsCtx(context.Background(), npu, []*model.Network{net}, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunNetworkOptsCtx(context.Background(), npu, net, SequentialOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := suite.Rows[net.Name]
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("Ctx variant diverged from the plain call under Background")
 	}
@@ -34,9 +32,9 @@ func TestRunNetworkCtxBackgroundIdentical(t *testing.T) {
 func TestRunNetworkPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := RunNetworkOptsCtx(ctx, EdgeNPU(), model.ByName("let"), SequentialOptions())
-	if !errors.Is(err, context.Canceled) || rows != nil {
-		t.Fatalf("rows=%v err=%v, want nil/Canceled", rows, err)
+	suite, err := RunSuiteOptsCtx(ctx, EdgeNPU(), []*model.Network{model.ByName("let")}, SuiteOptions{Workers: 1})
+	if !errors.Is(err, context.Canceled) || suite != nil {
+		t.Fatalf("suite=%v err=%v, want nil/Canceled", suite, err)
 	}
 }
 

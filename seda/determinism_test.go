@@ -25,7 +25,7 @@ func TestSuiteDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := RunSuiteOpts(npu, nets, SequentialOptions())
+	seq, err := RunSuiteOpts(npu, nets, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,19 +54,13 @@ func TestSuiteDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunNetworkOptsSequentialMatches covers the single-network entry
-// point the CLI uses with -seq.
+// TestRunNetworkOptsSequentialMatches covers the one-workload suite
+// seda-sim runs: its scheme pool alone must not change the rows.
 func TestRunNetworkOptsSequentialMatches(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("let")
-	par, err := RunNetworkOpts(npu, net, DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunNetworkOpts(npu, net, SequentialOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runOne(t, npu, net, DefaultSuiteOptions())
+	seq := runOne(t, npu, net, SuiteOptions{Workers: 1})
 	if !reflect.DeepEqual(par, seq) {
 		t.Errorf("parallel rows differ from sequential:\npar: %+v\nseq: %+v", par, seq)
 	}

@@ -12,9 +12,9 @@ import (
 
 func smallSuite(t *testing.T) *SuiteResult {
 	t.Helper()
-	s, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	s, err := RunSuiteOpts(EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("ncf"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

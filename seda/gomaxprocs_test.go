@@ -11,7 +11,7 @@ import (
 
 // TestSuiteWorkerPoolSharedArenas runs a two-worker suite over two
 // small workloads with no testing.Short() skip, so the `-race -short`
-// CI job exercises concurrent RunNetworkOpts calls sharing the
+// CI job exercises concurrent workload evaluations sharing the
 // process-wide memprot overlay arena and dram queue arena — the paths
 // an unsynchronized arena would corrupt. Results must still match the
 // sequential reference.
@@ -22,7 +22,7 @@ func TestSuiteWorkerPoolSharedArenas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := RunSuiteOpts(npu, nets, SequentialOptions())
+	seq, err := RunSuiteOpts(npu, nets, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSuiteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	npu := EdgeNPU()
 
-	ref, err := RunSuiteOpts(npu, nets, SequentialOptions())
+	ref, err := RunSuiteOpts(npu, nets, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

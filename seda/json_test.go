@@ -10,10 +10,7 @@ import (
 )
 
 func TestRunResultJSONRoundTrip(t *testing.T) {
-	rows, err := RunNetworkOpts(EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runOne(t, EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
 	blob, err := json.Marshal(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +74,9 @@ func TestSchemeByName(t *testing.T) {
 }
 
 func TestWriteJSONDeterministicAndWellFormed(t *testing.T) {
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	suite, err := RunSuiteOpts(EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("ncf"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +125,7 @@ func TestWriteJSONDeterministicAndWellFormed(t *testing.T) {
 }
 
 func TestWriteSuitesJSONArray(t *testing.T) {
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{model.ByName("let")})
+	suite, err := RunSuiteOpts(EdgeNPU(), []*model.Network{model.ByName("let")}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,43 @@ func TestValidateRejectsBadDRAMGeometry(t *testing.T) {
 			}
 			// The invalid geometry must be unreachable from the pipeline
 			// entry points, not just flagged by a standalone Validate.
-			if _, rerr := RunNetwork(npu, model.ByName("let")); rerr == nil {
-				t.Fatal("RunNetwork accepted an invalid geometry")
+			if _, rerr := RunSuiteOpts(npu, []*model.Network{model.ByName("let")}, DefaultSuiteOptions()); rerr == nil {
+				t.Fatal("RunSuiteOpts accepted an invalid geometry")
+			}
+		})
+	}
+}
+
+// TestValidateRejectsDegenerateRates: memory rates the DRAM model
+// cannot time must fail Validate, the guard every evaluation and every
+// explored grid point passes. NaN slips past "<= 0" compares; NaN,
+// infinite and extreme finite rates derive timings that wrap the
+// drain's uint64 clock; and a clock slow enough that refresh takes the
+// whole refresh interval leaves the drain refreshing forever.
+func TestValidateRejectsDegenerateRates(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*NPUConfig)
+		errWant string
+	}{
+		{"NaN freq", func(c *NPUConfig) { c.FreqHz = math.NaN() }, "non-finite"},
+		{"NaN bandwidth", func(c *NPUConfig) { c.BandwidthB = math.NaN() }, "non-finite"},
+		{"infinite freq", func(c *NPUConfig) { c.FreqHz = math.Inf(1) }, "non-finite"},
+		{"infinite bandwidth", func(c *NPUConfig) { c.BandwidthB = math.Inf(1) }, "non-finite"},
+		{"huge freq", func(c *NPUConfig) { c.FreqHz = 1e300 }, "exceeds"},
+		{"tiny bandwidth", func(c *NPUConfig) { c.BandwidthB = 1e-300 }, "exceeds"},
+		{"freq too slow to refresh", func(c *NPUConfig) { c.FreqHz = 1e3 }, "refresh"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			npu := EdgeNPU()
+			tc.mutate(&npu)
+			err := npu.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted %+v (derived DRAM config %+v)", npu, npu.DRAMConfig())
+			}
+			if !strings.Contains(err.Error(), tc.errWant) {
+				t.Fatalf("err = %q, want it to contain %q", err, tc.errWant)
 			}
 		})
 	}

@@ -17,14 +17,14 @@ func TestTracedSuiteOutputByteIdentical(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	npu := EdgeNPU()
 
-	plain, err := RunSuiteOpts(npu, nets, SequentialOptions())
+	plain, err := RunSuiteOpts(npu, nets, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, tr := obs.NewTracer(context.Background(), "test")
 	defer tr.Finish()
-	traced, err := RunSuiteOptsCtx(ctx, npu, nets, SequentialOptions())
+	traced, err := RunSuiteOptsCtx(ctx, npu, nets, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTracedSuiteOutputByteIdentical(t *testing.T) {
 func TestSuiteSpanTree(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
-	if _, err := RunSuiteOptsCtx(ctx, EdgeNPU(), nets, SequentialOptions()); err != nil {
+	if _, err := RunSuiteOptsCtx(ctx, EdgeNPU(), nets, SuiteOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -108,7 +108,7 @@ func TestCachedSuiteSpansAttachThroughCache(t *testing.T) {
 	cache := newTestCache(t)
 	nets := []*model.Network{model.ByName("let")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
-	if _, err := RunSuiteCachedCtx(ctx, cache, EdgeNPU(), nets, SequentialOptions()); err != nil {
+	if _, err := RunSuiteCachedCtx(ctx, cache, EdgeNPU(), nets, SuiteOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()

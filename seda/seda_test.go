@@ -62,11 +62,19 @@ func TestDRAMTimingDerivation(t *testing.T) {
 	}
 }
 
-func TestRunNetworkRowShape(t *testing.T) {
-	rows, err := RunNetwork(EdgeNPU(), model.ByName("let"))
+// runOne evaluates one workload through a one-workload suite and
+// returns its per-scheme rows.
+func runOne(t testing.TB, npu NPUConfig, net *model.Network, opts SuiteOptions) []RunResult {
+	t.Helper()
+	suite, err := RunSuiteOpts(npu, []*model.Network{net}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return suite.Rows[net.Name]
+}
+
+func TestRunNetworkRowShape(t *testing.T) {
+	rows := runOne(t, EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6 schemes", len(rows))
 	}
@@ -100,10 +108,7 @@ func TestPaperShapeBands(t *testing.T) {
 	}
 	for _, npu := range []NPUConfig{ServerNPU(), EdgeNPU()} {
 		for _, wl := range []string{"alex", "rest"} {
-			rows, err := RunNetwork(npu, model.ByName(wl))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows := runOne(t, npu, model.ByName(wl), DefaultSuiteOptions())
 			get := func(s memprot.Scheme) RunResult {
 				r, err := SchemeRow(rows, s)
 				if err != nil {
@@ -157,9 +162,9 @@ func TestSuiteTablesRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second DRAM simulation")
 	}
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	suite, err := RunSuiteOpts(EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("ncf"), model.ByName("sent"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +191,9 @@ func TestSuiteAverages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second DRAM simulation")
 	}
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	suite, err := RunSuiteOpts(EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("dlrm"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestSuiteAverages(t *testing.T) {
 func TestRunNetworkRejectsBadConfig(t *testing.T) {
 	bad := ServerNPU()
 	bad.FreqHz = 0
-	if _, err := RunNetwork(bad, model.ByName("let")); err == nil {
+	if _, err := RunSuiteOpts(bad, []*model.Network{model.ByName("let")}, DefaultSuiteOptions()); err == nil {
 		t.Error("bad NPU config accepted")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/rescache"
 )
 
 // SuiteResult holds a full Fig. 5/6 sweep for one NPU: every workload
@@ -22,32 +23,19 @@ type SuiteResult struct {
 }
 
 // SuiteOptions tunes how a sweep executes. The pipeline is
-// deterministic under every setting: parallel and sequential runs
+// deterministic under every setting: concurrent and serial runs
 // produce byte-identical results (see TestSuiteDeterminism).
 type SuiteOptions struct {
-	// Workers bounds how many workloads evaluate concurrently.
-	// 0 (the default) means GOMAXPROCS.
+	// Workers bounds the concurrency of a sweep: at most Workers
+	// workloads evaluate at once, and each evaluates at most Workers
+	// schemes at once. 1 runs the whole pipeline serially on the
+	// caller's goroutine; 0 (the default) means GOMAXPROCS.
 	Workers int
-
-	// SequentialSchemes evaluates the protection schemes of each
-	// workload one after another instead of on parallel goroutines.
-	SequentialSchemes bool
-
-	// SequentialDRAM drains DRAM channels on a single goroutine
-	// instead of one goroutine per channel.
-	SequentialDRAM bool
 }
 
-// DefaultSuiteOptions parallelizes at every level: a GOMAXPROCS-bounded
-// workload pool, concurrent scheme evaluation, and concurrent DRAM
-// channel draining.
+// DefaultSuiteOptions bounds both the workload pool and each
+// workload's scheme pool by GOMAXPROCS. perfbench pins this signature.
 func DefaultSuiteOptions() SuiteOptions { return SuiteOptions{} }
-
-// SequentialOptions forces the whole pipeline onto one goroutine —
-// the determinism reference and profiling baseline.
-func SequentialOptions() SuiteOptions {
-	return SuiteOptions{Workers: 1, SequentialSchemes: true, SequentialDRAM: true}
-}
 
 func (o SuiteOptions) workers() int {
 	if o.Workers > 0 {
@@ -56,104 +44,50 @@ func (o SuiteOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunSuite evaluates all 13 workloads on one NPU.
+// RunSuite evaluates all 13 workloads on one NPU under the default
+// options. perfbench pins this signature.
 func RunSuite(npu NPUConfig) (*SuiteResult, error) {
 	return RunSuiteOpts(npu, model.All(), DefaultSuiteOptions())
 }
 
-// RunSuiteOn evaluates the given workloads on one NPU.
-func RunSuiteOn(npu NPUConfig, nets []*model.Network) (*SuiteResult, error) {
-	return RunSuiteOpts(npu, nets, DefaultSuiteOptions())
-}
-
-// RunSuiteOpts evaluates the given workloads on one NPU with explicit
-// execution options. Workloads are independent given their own
-// simulator state, so they run through a bounded worker pool; results
-// are collected per slot and assembled in input order, and the first
-// error (in input order) wins, so output is independent of scheduling.
+// RunSuiteOpts is RunSuiteOptsCtx without a caller context. perfbench
+// pins this signature.
 func RunSuiteOpts(npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
 	return RunSuiteOptsCtx(context.Background(), npu, nets, opts)
 }
 
-// RunSuiteOptsCtx is RunSuiteOpts under a caller context. Cancellation
-// propagates into every in-flight workload evaluation (see
-// RunNetworkOptsCtx) and stops the pool dispatching new ones; a
-// cancelled sweep returns ctx.Err() and no partial result.
+// RunSuiteOptsCtx evaluates the given workloads on one NPU, every
+// scheme on every workload, with no result cache. Workloads are
+// independent given their own simulator state, so they run through a
+// pool bounded by opts.Workers; results are collected per slot and
+// assembled in input order, and the first error (in input order) wins,
+// so output is independent of scheduling. Cancellation propagates into
+// every in-flight evaluation and stops the pool dispatching new ones;
+// a cancelled sweep returns ctx.Err() and no partial result. perfbench
+// pins this signature.
 func RunSuiteOptsCtx(ctx context.Context, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
-	return runSuiteWith(ctx, npu, nets, opts, func(ctx context.Context, n *model.Network) ([]RunResult, error) {
-		return RunNetworkOptsCtx(ctx, npu, n, opts)
-	})
+	return runSuite(ctx, nil, npu, nets, opts)
 }
 
-// runSuiteWith is the suite scaffolding shared by RunSuiteOpts and
-// RunSuiteCached: a bounded worker pool over the workloads, per-slot
-// result collection, and input-order assembly and error reporting.
-// The context gates dispatch (no new workload starts once it is
-// cancelled) and is passed to run for intra-workload cancellation;
-// when it expires, the first error reported is ctx.Err() itself, so
-// callers see the cancellation rather than an arbitrary workload's
+// runSuite is the sweep behind both entry points: a bounded pool over
+// the workloads, each evaluated through the cache c (or fresh when c is
+// nil), per-slot result collection, and input-order assembly and error
+// reporting. When ctx expires, the error reported is ctx.Err() itself,
+// so callers see the cancellation rather than an arbitrary workload's
 // wrapped copy of it.
-func runSuiteWith(ctx context.Context, npu NPUConfig, nets []*model.Network, opts SuiteOptions, run func(context.Context, *model.Network) ([]RunResult, error)) (*SuiteResult, error) {
+func runSuite(ctx context.Context, c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
 	ctx, suiteSpan := obs.Start(ctx, obs.StageSuite)
 	suiteSpan.SetDetail(npu.Name)
 	defer suiteSpan.End()
-	inner := run
-	run = func(ctx context.Context, n *model.Network) ([]RunResult, error) {
-		ctx, sp := obs.Start(ctx, obs.StageWorkload)
-		sp.SetDetail(n.Name)
-		defer sp.End()
-		return inner(ctx, n)
-	}
-
-	workers := opts.workers()
-	if workers > len(nets) {
-		workers = len(nets)
-	}
 
 	rows := make([][]RunResult, len(nets))
 	errs := make([]error, len(nets))
-	done := ctx.Done()
-	cancelled := func() bool {
-		if done == nil {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	if workers <= 1 {
-		for i, n := range nets {
-			if cancelled() {
-				break
-			}
-			rows[i], errs[i] = run(ctx, n)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					rows[i], errs[i] = run(ctx, nets[i])
-				}
-			}()
-		}
-	dispatch:
-		for i := range nets {
-			select {
-			case idx <- i:
-			case <-done:
-				break dispatch
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}
+	forEach(ctx, opts.workers(), len(nets), func(i int) {
+		ctx, sp := obs.Start(ctx, obs.StageWorkload)
+		sp.SetDetail(nets[i].Name)
+		rows[i], errs[i] = runNetworkCached(ctx, c, npu, nets[i], opts)
+		sp.End()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -166,6 +100,42 @@ func runSuiteWith(ctx context.Context, npu NPUConfig, nets []*model.Network, opt
 		res.Rows[n.Name] = rows[i]
 	}
 	return res, nil
+}
+
+// forEach calls fn(i) for every i in [0, n) on min(workers, n)
+// goroutines, handing out indices in order; with one worker it runs on
+// the caller's goroutine. Once ctx is done no further index is handed
+// out, so callers check ctx.Err() before trusting the slots fn fills.
+func forEach(ctx context.Context, workers, n int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	done := ctx.Done()
+dispatch:
+	for i := 0; i < n; i++ {
+		select {
+		case idx <- i:
+		case <-done:
+			break dispatch
+		}
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // Workloads returns the workload names present, in the paper's order

@@ -8,10 +8,9 @@ import (
 
 // BenchmarkRunSuite measures the full evaluation pipeline (13
 // workloads x 6 schemes: scalesim schedule -> protection scheme ->
-// DRAM timing) on both NPUs, sequential vs parallel. The sequential
-// variant forces one goroutine end to end; the parallel variant is the
-// default pipeline (GOMAXPROCS workload pool, concurrent schemes,
-// concurrent channel drain). Before/after numbers for the perf
+// DRAM timing) on both NPUs in two modes: workers1 runs the whole
+// pipeline serially on one goroutine; default is the GOMAXPROCS-bounded
+// workload and scheme pools. Before/after numbers for the perf
 // trajectory live in BENCH_PIPELINE.json.
 //
 // Run with:
@@ -23,8 +22,8 @@ func BenchmarkRunSuite(b *testing.B) {
 			name string
 			opts SuiteOptions
 		}{
-			{"seq", SequentialOptions()},
-			{"par", DefaultSuiteOptions()},
+			{"workers1", SuiteOptions{Workers: 1}},
+			{"default", DefaultSuiteOptions()},
 		} {
 			b.Run(npu.Name+"/"+mode.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
