@@ -100,10 +100,49 @@ func TestRunTraceAllocGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkRunTrace measures the zero-copy hot path. The seed adapter
-// (accessView copy + growing queues) ran this workload at 79 allocs/op
-// and ~3.4 MB/op; the counted pre-size explode with pooled buffers
-// must stay well under half of that (see BENCH_PIPELINE.json).
+// TestStreakStopsAtPoll cancels a drain whose whole queue is one
+// same-row stream, so every pick after the row activation is a streak
+// pick. A streak that ran past the next pause would drain the whole
+// queue before the first poll; the drain must instead stop at the
+// first poll, having served only picks made before pollCycles.
+func TestStreakStopsAtPoll(t *testing.T) {
+	for name, timings := range map[string]func(Config) Config{"server": serverTimings, "edge": edgeTimings} {
+		cfg := timings(DDR4Like(1))
+		cfg.BanksPerChan = 1
+		cfg.TRefi = 0 // no refresh: the poll is the only pause
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const total = 1 << 22
+		ch := &s.getState().chans[0]
+		ch.spans = append(ch.spans[:0], span{count: total})
+		ch.total = total
+		done := make(chan struct{})
+		close(done)
+		res := s.drainChannel(ch, done)
+		if !res.aborted {
+			t.Fatalf("%s: drain of a cancelled run finished instead of aborting", name)
+		}
+		// Picks advance the clock by at least max(TBurst, TCL) once the
+		// row is open, so at most pollCycles/period + 2 fit before the
+		// first poll (the activation and the first hit included).
+		served := ch.busy / cfg.TBurst
+		if limit := uint64(pollCycles)/max(cfg.TBurst, cfg.TCL) + 2; served == 0 || served > limit {
+			t.Errorf("%s: served %d of %d bursts before the poll, want 1..%d", name, served, total, limit)
+		}
+	}
+}
+
+// benchStats keeps the benchmarked drain's result live.
+var benchStats Stats
+
+// BenchmarkRunTrace measures the zero-copy hot path on a streaming
+// trace. ddr4 runs the DDR4Like template (TCL > TBurst); server and
+// edge run the two NPU presets' derived timings, so both same-row
+// streak regimes (bank busy at each later pick, and bank ready again)
+// have a kernel number. The seed adapter (accessView copy + growing
+// queues) ran the ddr4 case at 79 allocs/op and ~3.4 MB/op.
 func BenchmarkRunTrace(b *testing.B) {
 	tr := &trace.Trace{}
 	tr.Reserve(4096)
@@ -115,13 +154,24 @@ func BenchmarkRunTrace(b *testing.B) {
 			Kind:  trace.Kind(i % 2),
 		})
 	}
-	s, err := New(DDR4Like(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunOverlay(tr, nil)
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ddr4", DDR4Like(4)},
+		{"server", serverTimings(DDR4Like(4))},
+		{"edge", edgeTimings(DDR4Like(4))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := New(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchStats = s.RunOverlay(tr, nil)
+			}
+		})
 	}
 }

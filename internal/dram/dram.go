@@ -21,15 +21,16 @@
 // for channels × burstsPerRow consecutive bursts), and the scheduler
 // expands spans lazily into a WindowSize ring, so the per-burst queue
 // the seed materialized — gigabytes of request structs on a full sweep
-// — never exists. Within drainChannel a fast path takes the window
-// head outright when it is an issued row hit on a ready bank (the
-// common case on streaming traces); otherwise the FR-FCFS pick comes
-// from per-bank knowledge: each bank tracks the oldest in-window
-// request targeting its open row, so the "oldest ready row hit, else
-// oldest ready, else time-jump" decision does not rescan the window
-// per burst. Both tiers remain bit-identical to the window-scanning
-// scheduler they replaced (TestFRFCFSGoldenPickOrder pins the pick
-// order). Span buffers are recycled across runs — within one
+// — never exists. Within drainChannel a same-row streak takes a run of
+// window heads that hit one bank's open row in a single step, with
+// closed-form timing (the common case on streaming traces); otherwise
+// the FR-FCFS pick comes from per-bank knowledge: each bank tracks the
+// oldest in-window request targeting its open row, so the "oldest
+// ready row hit, else oldest ready, else time-jump" decision does not
+// rescan the window per burst. Both tiers remain bit-identical to the
+// window-scanning scheduler they replaced, which the tests keep as a
+// reference (FuzzDrainMatchesReference; TestFRFCFSGoldenPickOrder pins
+// the pick order). Span buffers are recycled across runs — within one
 // simulator, or across the several simulators of a workload sweep via
 // a shared Arena. RunOverlay consumes a protection scheme's
 // spine+overlay stream pair merged in anchor order, so the
@@ -429,11 +430,11 @@ func (s *Simulator) RunOverlay(spine *trace.Trace, deltas *trace.Overlay) Stats 
 	return st
 }
 
-// RunOverlayCtx is RunOverlay under a context: the drain loops check
-// ctx cooperatively (every few thousand scheduler picks, between
-// explode passes) and abandon the run, returning ctx.Err(), once it is
-// cancelled. A cancelled run's Stats are meaningless and must not be
-// used.
+// RunOverlayCtx is RunOverlay under a context: the drain checks ctx
+// cooperatively (between explode passes, and every pollCycles
+// simulated cycles of each channel drain) and abandons the run,
+// returning ctx.Err(), once it is cancelled. A cancelled run's Stats
+// are meaningless and must not be used.
 func (s *Simulator) RunOverlayCtx(ctx context.Context, spine *trace.Trace, deltas *trace.Overlay) (Stats, error) {
 	return s.run(ctx, func(yield func(*trace.Access)) {
 		trace.ForEachMerged(spine, deltas, yield)
@@ -646,24 +647,25 @@ func rescanHits(wq []request, mask, head, win int, b int32, row int64) int32 {
 // index slot&mask, so the scheduler's state fits in the cache while
 // the per-burst queue is never materialized. The selected request is
 // swapped to the window head and the head advances, so removal is
-// O(1). Picks resolve in two tiers: a fast path takes the window head
-// outright when it is an issued row hit on a ready bank — the head is
-// the lowest slot any rule can return, so nothing can beat it — which
-// covers the long same-row streaks streaming traces are made of.
+// O(1). Picks resolve in two tiers: a same-row streak takes
+// consecutive window heads that hit their bank's open row for as long
+// as the FR-FCFS rules provably return the head, and applies the run's
+// timing in closed form; streaming traces are made of such runs.
 // Otherwise the FR-FCFS "oldest ready row hit" comes from per-bank
 // knowledge (channel.hits): each bank caches the oldest in-window
 // request targeting its open row, the caches are updated as requests
 // enter the window, get picked, or flip the open row, and the winning
 // candidate is the minimum slot over the ready banks — exactly the
-// request the window-scanning scheduler used to find (the golden
-// pick-order test pins the equivalence).
+// request the window-scanning scheduler used to find (the reference
+// oracle in the tests pins the equivalence).
 //
 // done, when non-nil, is the run context's cancellation channel. The
 // poll rides the refresh compare the loop already pays: nextPause is
 // the earlier of the next refresh and the next poll cycle, so the hot
 // path keeps its single uint64 compare per pick and a cancellation is
 // noticed within pollCycles of simulated time (sub-millisecond wall
-// time). A nil done leaves nextPoll at maxUint64 and the loop is
+// time). A streak stops at nextPause too, so it cannot skip a refresh
+// or a poll. A nil done leaves nextPoll at maxUint64 and the loop is
 // instruction-identical to the uncancellable version.
 func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 	var res chanResult
@@ -713,6 +715,10 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 		nextPoll = pollCycles
 	}
 	nextPause := min(nextRef, nextPoll)
+	// A same-row streak's picks start period cycles apart, and its bank
+	// is ready again at each later pick iff TCL <= TBurst.
+	period := max(s.cfg.TBurst, s.cfg.TCL)
+	readyAgain := s.cfg.TCL <= s.cfg.TBurst
 	// Banks start closed (openRow -1 matches no request), so the
 	// initial window registers no candidates and hits[*] == hitNone.
 	for i := 0; i < win; i++ {
@@ -757,20 +763,118 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 			nextPause = min(nextRef, nextPoll)
 		}
 
-		// Fast path: the window head is the lowest slot any rule can
-		// return, so if it is an issued row hit on a ready bank it wins
-		// rule 1 outright — no candidate across the other banks can
-		// have a smaller slot, and rules 2/3 only apply when rule 1
-		// finds nothing. Streaming traces spend most picks here (a row
-		// span is burstsPerRow back-to-back hits on one bank), skipping
-		// the per-bank candidate sweep entirely. The cached candidates
-		// of other banks are left untouched: stale entries resolve
-		// lazily on their next use, exactly as the slow path leaves
-		// them when a bank is skipped for not being ready.
-		pick := -1
-		if h := &wq[head&mask]; h.issue <= now {
-			if bk := &ch.banks[h.bank]; bk.openRow == h.row && bk.readyAt <= now {
-				pick = head
+		// Same-row streak: the window head is the lowest slot any rule
+		// can return, so an issued head that hits bank b's open row is
+		// the pick when b is ready (rule 1: no candidate has a smaller
+		// slot) and also when b is busy but no other candidate bank is
+		// ready (rule 1 finds nothing; rule 2 returns the oldest issued
+		// request, the head). The streak takes consecutive heads for
+		// (b, row) while one of the two holds at each pick time and the
+		// pick precedes the next pause, sliding the window per burst,
+		// then applies their timing in closed form: after the first
+		// start, starts advance by period. The rule-1 sweep it skips
+		// would visit no ready bank, so it would leave every candidate
+		// cache as it is. Streaming traces spend most picks here (a row
+		// span is burstsPerRow back-to-back hits on one bank); see
+		// DESIGN.md "Same-row streaks".
+		if h := &wq[head&mask]; h.issue <= now && ch.banks[h.bank].openRow == h.row {
+			bi, row := h.bank, h.row
+			bk := &ch.banks[bi]
+			// otherReady is the earliest readyAt among the other
+			// candidate banks: a busy b may take the head only before
+			// it. Without candMask it stays 0, so a busy b never does.
+			var otherReady uint64
+			if useCandMask && (bk.readyAt > now || !readyAgain) {
+				otherReady = noPause
+				for m := candMask &^ (1 << uint(bi)); m != 0; m &= m - 1 {
+					otherReady = min(otherReady, ch.banks[bits.TrailingZeros64(m)].readyAt)
+				}
+			}
+			if bk.readyAt <= now || now < otherReady {
+				// limit bounds the later pick times: the next pause and,
+				// when b is busy at each of them, otherReady, lowered as
+				// slid-in bursts register new candidates.
+				limit := nextPause
+				if !readyAgain {
+					limit = min(limit, otherReady)
+				}
+				busFree0 := ch.busFree
+				last := max(now, bk.readyAt) // start of the streak's last pick
+				n := uint64(0)
+				// b's own candidate is recomputed after the streak; next
+				// is the first slot slid in for (b, row), if any. Within
+				// a streak only registrations change the other banks'
+				// candidate state, so a burst that repeats the previous
+				// slid-in burst's span cannot register: the check runs
+				// on the first slide and at span boundaries.
+				winStart, next := win, hitNone
+				check := true
+				for {
+					head++
+					n++
+					if win < total {
+						if check {
+							if cur.bank == bi {
+								if cur.row == row && next == hitNone {
+									next = int32(win)
+								}
+							} else if hits[cur.bank] == hitNone && ch.banks[cur.bank].openRow == cur.row {
+								hits[cur.bank] = int32(win)
+								candMask |= 1 << uint(cur.bank)
+								if !readyAgain {
+									limit = min(limit, ch.banks[cur.bank].readyAt)
+								}
+							}
+						}
+						wq[win&mask] = cur
+						win++
+						rem--
+						check = false
+						if rem == 0 && si < len(spans) {
+							sp := &spans[si]
+							cur = request{issue: sp.issue, row: sp.row, bank: sp.bank}
+							rem = sp.count
+							si++
+							check = true
+						}
+					}
+					t := last + s.cfg.TBurst // next pick time
+					if head >= total || t >= limit {
+						break
+					}
+					if h := &wq[head&mask]; h.bank != bi || h.row != row || h.issue > t {
+						break
+					}
+					last += period
+				}
+				// Leave b's candidate exact, so the rule-1 sweep does not
+				// rescan the window for it: the lowest remaining slot of
+				// the window as it stood before the streak, else the first
+				// one slid in. A streak that ran into the slid-in slots
+				// may have taken next, so it scans what is left instead.
+				end := winStart
+				if head > winStart {
+					end, next = win, hitNone
+				}
+				for i := head; i < end; i++ {
+					if r := &wq[i&mask]; r.bank == bi && r.row == row {
+						next = int32(i)
+						break
+					}
+				}
+				hits[bi] = next
+				if next == hitNone {
+					candMask &^= 1 << uint(bi)
+				} else {
+					candMask |= 1 << uint(bi)
+				}
+				res.rowHits += n
+				ch.busy += n * s.cfg.TBurst
+				ch.busFree = max(last+s.cfg.TCL+s.cfg.TBurst, busFree0+n*s.cfg.TBurst)
+				lastDone = max(lastDone, ch.busFree)
+				bk.readyAt = last + s.cfg.TCL
+				now = last + s.cfg.TBurst
+				continue
 			}
 		}
 
@@ -778,7 +882,8 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 		// has arrived, on a bank whose last access has completed. Each
 		// open bank contributes its cached oldest open-row request; the
 		// lowest slot across banks wins.
-		if pick < 0 && (!useCandMask || candMask != 0) {
+		pick := -1
+		if !useCandMask || candMask != 0 {
 			for b := 0; b < len(ch.banks); b++ {
 				if useCandMask {
 					// Jump to the next candidate bank.

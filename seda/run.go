@@ -73,9 +73,9 @@ func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 // overlay. The DRAM phase then consumes spine+overlay pairs directly,
 // with all six schemes drawing their scratch queues from one shared
 // arena. The context reaches the protection walk (checked per layer)
-// and the DRAM drain loops (checked every few thousand scheduler
-// picks); a cancelled evaluation returns ctx.Err() with no partial
-// rows.
+// and the DRAM drain (checked between explode passes and every
+// dram pollCycles simulated cycles); a cancelled evaluation returns
+// ctx.Err() with no partial rows.
 func runNetwork(ctx context.Context, npu NPUConfig, net *model.Network, opts SuiteOptions) ([]RunResult, error) {
 	if err := npu.Validate(); err != nil {
 		return nil, err
